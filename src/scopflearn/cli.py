@@ -55,8 +55,6 @@ class RunConfig:
     lr: float = 1e-4
     seed: int = 0
     bisect_iters: int = 25
-    train_size: int = 500
-    test_size: int = 100
 
     def trainer_config(self) -> TrainerConfig:
         return TrainerConfig(K=self.K, L=self.L, batch=self.batch, rho0=self.rho0,

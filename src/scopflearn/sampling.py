@@ -91,9 +91,12 @@ def sample_factors(n: int, corr: float, config: PerturbationConfig, rng: np.rand
     return 1.0 + sigma * (root @ rng.standard_normal(n))
 
 
-def _normalize(values: np.ndarray, base: np.ndarray) -> np.ndarray:
-    denom = np.where(base == 0.0, 1.0, base)
-    return values / denom
+def input_vector(case: GridCase, d: np.ndarray, c: np.ndarray, gub: np.ndarray) -> np.ndarray:
+    """Network input [d/d0, c/c0, gub/gub0] (a zero base divides by one).
+    Takes one instance or rows of instances."""
+    parts = [(d, case.d0), (c, case.c0), (gub, case.gub0)]
+    return np.concatenate([v / np.where(base == 0.0, 1.0, base) for v, base in parts],
+                          axis=-1)
 
 
 def balanced_box_vertices(glb: np.ndarray, gub: np.ndarray, total: float) -> np.ndarray:
@@ -167,12 +170,8 @@ def make_instance(
         c = np.maximum(0.0, fc * case.c0)
         gub = np.maximum(fg * case.gub0, floor)
         if _solvable(case, cont, float(d.sum()), gub):
-            x = np.concatenate([
-                _normalize(d, case.d0),
-                _normalize(c, case.c0),
-                _normalize(gub, case.gub0),
-            ])
-            return Instance(d=d, c=c, gub=gub, x=x, seed=seed), attempt
+            return Instance(d=d, c=c, gub=gub, x=input_vector(case, d, c, gub),
+                            seed=seed), attempt
     raise DataError("could not sample a solvable instance; case capacity is too tight")
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError
 from .nn import AdamState, MlpParams
-from .sampling import Instance
+from .sampling import Instance, input_vector
 
 DATASET_MAGIC = b"SCLDATA\x01"
 CHECKPOINT_MAGIC = b"SCLCKPT\x01"
@@ -112,15 +112,9 @@ class Dataset:
             raise DataError(
                 f"dataset dims (loads={self.d.shape[1]}, gens={self.c.shape[1]}) do not "
                 f"match case (loads={case.n_load}, gens={case.n_gen})")
-        out = []
-        base = [case.d0, case.c0, case.gub0]
-        denoms = [np.where(b == 0, 1.0, b) for b in base]
-        for i in range(self.n):
-            x = np.concatenate([self.d[i] / denoms[0], self.c[i] / denoms[1],
-                                self.gub[i] / denoms[2]])
-            out.append(Instance(d=self.d[i], c=self.c[i], gub=self.gub[i],
-                                x=x, seed=int(self.seeds[i])))
-        return out
+        x = input_vector(case, self.d, self.c, self.gub)
+        return [Instance(d=self.d[i], c=self.c[i], gub=self.gub[i], x=x[i],
+                         seed=int(self.seeds[i])) for i in range(self.n)]
 
 
 def write_dataset(path, dataset: Dataset) -> None:

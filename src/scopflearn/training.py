@@ -1,10 +1,17 @@
-"""Training loops: the alternating primal-dual scheme plus the penalty-only
-and supervised (naive / distance-plus-penalty) baselines.
+"""Training: one augmented-Lagrangian loop shared by the primal-dual scheme,
+the penalty-only baseline and the supervised (naive / distance-plus-penalty)
+baselines.
 
-All four trainers share the primal architecture: layer-normalized MLP, bound
-map, power-balance repair, and per-outage bisection.  Only the primal-dual
-scheme adds a second network that learns the multiplier estimates for the
-contingency balance constraints.
+Every method trains the same primal architecture: layer-normalized MLP,
+bound map, power-balance repair, and per-outage bisection.  Each outer
+iteration runs the primal steps against the current penalty, makes one
+chunked pass over the dataset for the worst contingency balance violation
+and the mean objective, and updates the penalty.  A method supplies only its
+per-batch loss.  The primal-dual scheme splits the 2L steps of an outer
+iteration into L primal steps against multipliers from its second network,
+frozen for the phase, and L dual regression steps toward the multiplier
+update targets; the others run 2L primal steps.  The supervised baselines
+keep a fixed penalty and skip the dataset pass.
 """
 
 from __future__ import annotations
@@ -107,6 +114,39 @@ def primal_loss_terms(pipe: PrimalPipeline, state, c, lam, rho, obj_scale):
     return loss, grad_gtilde, grad_gk
 
 
+def _pdl_loss(pipe, state, batch, lam, rho, config):
+    return primal_loss_terms(pipe, state, batch.c, lam, rho, config.obj_scale)
+
+
+def _penalty_loss(pipe, state, batch, lam, rho, config):
+    """objective/obj_scale + rho sum h^2."""
+    h = state.h
+    loss = pipe.objective(state, batch.c) / config.obj_scale + rho * (h * h).sum(-1)
+    grad_gtilde, grad_gk = pipe.objective_grads(state, batch.c)
+    return (loss, grad_gtilde / config.obj_scale,
+            grad_gk / config.obj_scale + 2.0 * rho * h[..., None])
+
+
+def _distance_loss(pipe, state, batch, lam, rho, config):
+    """Euclidean distance of the repaired dispatch to the reference."""
+    diff = state.gtilde - batch.g_star
+    dist = np.linalg.norm(diff, axis=-1)
+    return dist, diff / np.maximum(dist, 1e-12)[..., None], None
+
+
+def _ld_loss(pipe, state, batch, lam, rho, config):
+    """Distance plus rho sum h^2 at the fixed penalty LD_PENALTY."""
+    dist, grad_gtilde, _ = _distance_loss(pipe, state, batch, lam, rho, config)
+    h = state.h
+    return dist + rho * (h * h).sum(-1), grad_gtilde, 2.0 * rho * h[..., None]
+
+
+# each method's minibatch loss: (per-instance loss, gradient on the repaired
+# dispatch, gradient on the contingency dispatches or None)
+_LOSSES = {"pdl": _pdl_loss, "penalty": _penalty_loss,
+           "naive": _distance_loss, "ld": _ld_loss}
+
+
 def dual_loss(lambda_new, lambda_frozen, h, dual_loss_rho: float) -> float:
     """Distance between new multipliers and the frozen-multiplier update
     target lambda_frozen + rho_d * h (Euclidean norm)."""
@@ -136,6 +176,28 @@ def max_violation(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked") -> 
     return worst
 
 
+def _sweep(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked"):
+    """One chunked pass of the primal network over the dataset: the balance
+    residuals h (n, |Kg|) and the mean objective."""
+    h = np.empty((data.n, pipe.kg.size))
+    total = 0.0
+    for lo in range(0, data.n, EVAL_CHUNK):
+        sl = slice(lo, lo + EVAL_CHUNK)
+        z, _ = mlp_forward(primal, data.x[sl])
+        st = pipe.forward(z, data.d[sl], data.gub[sl])
+        h[sl] = st.h
+        total += float(pipe.objective(st, data.c[sl]).sum())
+    return h, total / data.n
+
+
+def _dual_outputs(dual: MlpParams, data: "_Stacked", cont: ContingencySet) -> np.ndarray:
+    out = np.empty((data.n, max(cont.n_gen, 1)))
+    for lo in range(0, data.n, EVAL_CHUNK):
+        sl = slice(lo, lo + EVAL_CHUNK)
+        out[sl], _ = mlp_forward(dual, data.x[sl])
+    return out[:, :cont.n_gen]
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 
@@ -150,6 +212,10 @@ class _Stacked:
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    def take(self, idx) -> "_Stacked":
+        return _Stacked(x=self.x[idx], d=self.d[idx], c=self.c[idx], gub=self.gub[idx],
+                        g_star=None if self.g_star is None else self.g_star[idx])
 
 
 def stack_instances(instances: list[Instance], g_star=None) -> _Stacked:
@@ -179,7 +245,7 @@ def build_networks(case: GridCase, cont: ContingencySet, dim_x: int, seed: int,
 
 
 class _Run:
-    """Bookkeeping shared by the four trainers: minibatch stream, global step
+    """Bookkeeping of the training loop: minibatch stream, global step
     counter with the shared learning-rate clock, CSV-ready log rows."""
 
     def __init__(self, config: TrainerConfig, n_records: int):
@@ -212,30 +278,80 @@ class _Run:
         self.step += 1
 
 
-def _mean_objective(pipe: PrimalPipeline, primal: MlpParams, data: _Stacked) -> float:
-    total = 0.0
-    for lo in range(0, data.n, EVAL_CHUNK):
-        sl = slice(lo, lo + EVAL_CHUNK)
-        z, _ = mlp_forward(primal, data.x[sl])
-        st = pipe.forward(z, data.d[sl], data.gub[sl])
-        total += float(pipe.objective(st, data.c[sl]).sum())
-    return total / data.n
-
-
-def _forward_batch(pipe, primal, data, idx, with_slacks=True):
-    z, tape = mlp_forward(primal, data.x[idx])
-    state = pipe.forward(z, data.d[idx], data.gub[idx], with_slacks=with_slacks)
-    return z, tape, state
-
-
-def _apply_step(pipe, primal, tape, state, grad_gtilde, grad_gk, adam, lr, batch):
-    grad_z = pipe.backward(state, grad_gtilde, grad_gk) / batch
-    grads, _ = mlp_backward(primal, tape, grad_z)
-    adam_step(primal, grads, adam, lr)
-
-
 # ---------------------------------------------------------------------------
-# trainers
+# the training loop
+
+def _train(method: str, case: GridCase, factors: LinearFactors, cont: ContingencySet,
+           instances: list[Instance], config: TrainerConfig, g_star=None,
+           checkpoint_cb=None) -> TrainResult:
+    t_start = time.perf_counter()
+    loss_fn = _LOSSES[method]
+    self_supervised = method in ("pdl", "penalty")
+    data = stack_instances(instances, g_star=None if self_supervised else g_star)
+    if not self_supervised and data.g_star is None:
+        raise DataError(f"{method} training requires reference dispatch labels; "
+                        "label the dataset with the oracle first")
+    pipe = PrimalPipeline(case, factors, cont, t=config.bisect_iters)
+    primal, dual = build_networks(case, cont, data.x.shape[1], config.seed,
+                                  need_dual=method == "pdl")
+    primal_adam = AdamState.for_params(primal)
+    dual_adam = None if dual is None else AdamState.for_params(dual)
+    if self_supervised:
+        state = TrainerState(rho=config.rho0)
+    else:
+        state = TrainerState(rho=LD_PENALTY if method == "ld" else 0.0)
+    primal_steps = config.L if dual is not None else 2 * config.L
+    run = _Run(config, data.n)
+    outer_log = []
+    v_k = float("nan")
+
+    for k in range(1, config.K + 1):
+        # the dual network is untouched until the dual phase, so its outputs
+        # are the frozen multipliers of the primal phase and the base of the
+        # dual targets
+        lam_all = None if dual is None else _dual_outputs(dual, data, cont)
+        for l in range(1, primal_steps + 1):
+            idx = run.next_batch()
+            batch = data.take(idx)
+            z, tape = mlp_forward(primal, batch.x)
+            st = pipe.forward(z, batch.d, batch.gub, with_slacks=self_supervised)
+            lam = None if lam_all is None else lam_all[idx]
+            loss_vec, g_t, g_k = loss_fn(pipe, st, batch, lam, state.rho, config)
+            lr = run.lr()  # before record(), which advances the step clock
+            run.record(k, l, float(loss_vec.mean()), state.rho, v_k)
+            grad_z = pipe.backward(st, g_t, g_k) / config.batch
+            grads, _ = mlp_backward(primal, tape, grad_z)
+            adam_step(primal, grads, primal_adam, lr)
+
+        rho, v_prev = state.rho, state.v_prev
+        if self_supervised:
+            h, mean_objective = _sweep(pipe, primal, data)
+            v_k = float(np.abs(h).max()) if h.size else 0.0
+            outer_log.append({"outer_k": k, "rho": state.rho, "v_k": v_k,
+                              "mean_objective": mean_objective})
+            rho, v_prev = update_penalty(state.rho, v_k, state.v_prev, config), v_k
+
+        if dual is not None:
+            # regression toward the multiplier update targets
+            targets = np.zeros((data.n, dual.sizes[-1]))
+            targets[:, :cont.n_gen] = lam_all + config.dual_loss_rho * h
+            for l in range(1, config.L + 1):
+                idx = run.next_batch()
+                lam, tape = mlp_forward(dual, data.x[idx])
+                resid = lam - targets[idx]
+                lr = run.lr()
+                run.record(k, l, float((resid * resid).mean()), state.rho, v_k)
+                grads, _ = mlp_backward(dual, tape, 2.0 * resid / resid.size)
+                adam_step(dual, grads, dual_adam, lr)
+
+        state = TrainerState(rho=rho, v_prev=v_prev, outer=k, inner=primal_steps)
+        if checkpoint_cb is not None:
+            checkpoint_cb(k, primal, primal_adam, dual, dual_adam, state)
+
+    return TrainResult(method=method, primal=primal, primal_adam=primal_adam,
+                       dual=dual, dual_adam=dual_adam, state=state, log=run.log,
+                       outer_log=outer_log, wall_s=time.perf_counter() - t_start)
+
 
 def train_pdl(case: GridCase, factors: LinearFactors, cont: ContingencySet,
               instances: list[Instance], config: TrainerConfig,
@@ -243,82 +359,12 @@ def train_pdl(case: GridCase, factors: LinearFactors, cont: ContingencySet,
     """Alternating primal-dual training.
 
     Each outer iteration runs L primal steps against multipliers from the
-    frozen dual network, measures the worst balance violation, snapshots the
-    dual network, runs L dual regression steps toward the multiplier update
-    targets, and finally updates the penalty coefficient.
+    frozen dual network, measures the worst balance violation, runs L dual
+    regression steps toward the multiplier update targets, and finally
+    updates the penalty coefficient.
     """
-    t_start = time.perf_counter()
-    data = stack_instances(instances)
-    pipe = PrimalPipeline(case, factors, cont, t=config.bisect_iters)
-    dim_x = data.x.shape[1]
-    primal, dual = build_networks(case, cont, dim_x, config.seed, need_dual=True)
-    primal_adam = AdamState.for_params(primal)
-    dual_adam = AdamState.for_params(dual)
-    state = TrainerState(rho=config.rho0)
-    run = _Run(config, data.n)
-    outer_log = []
-    v_k = float("nan")
-
-    for k in range(1, config.K + 1):
-        # primal phase: dual outputs are constants for the whole phase
-        lam_all = _dual_outputs(dual, data, cont)
-        for l in range(1, config.L + 1):
-            idx = run.next_batch()
-            z, tape, st = _forward_batch(pipe, primal, data, idx)
-            loss_vec, g_t, g_k = primal_loss_terms(
-                pipe, st, data.c[idx], lam_all[idx], state.rho, config.obj_scale)
-            loss = float(loss_vec.mean())
-            lr = run.lr()
-            run.record(k, l, loss, state.rho, v_k)
-            _apply_step(pipe, primal, tape, st, g_t, g_k, primal_adam, lr,
-                        config.batch)
-
-        v_k = max_violation(pipe, primal, data)
-
-        # dual phase: regression toward frozen-multiplier update targets
-        frozen = dual.copy()
-        targets = np.zeros((data.n, dual.sizes[-1]))
-        targets[:, :cont.n_gen] = _dual_outputs(frozen, data, cont) \
-            + config.dual_loss_rho * _residuals_all(pipe, primal, data)
-        for l in range(1, config.L + 1):
-            idx = run.next_batch()
-            lam, tape = mlp_forward(dual, data.x[idx])
-            resid = lam - targets[idx]
-            loss = float((resid * resid).mean())
-            lr = run.lr()
-            run.record(k, l, loss, state.rho, v_k)
-            grad = 2.0 * resid / resid.size
-            grads, _ = mlp_backward(dual, tape, grad)
-            adam_step(dual, grads, dual_adam, lr)
-
-        new_rho = update_penalty(state.rho, v_k, state.v_prev, config)
-        outer_log.append({"outer_k": k, "rho": state.rho, "v_k": v_k,
-                          "mean_objective": _mean_objective(pipe, primal, data)})
-        state = TrainerState(rho=new_rho, v_prev=v_k, outer=k, inner=config.L)
-        if checkpoint_cb is not None:
-            checkpoint_cb(k, primal, primal_adam, dual, dual_adam, state)
-
-    return TrainResult(method="pdl", primal=primal, primal_adam=primal_adam,
-                       dual=dual, dual_adam=dual_adam, state=state, log=run.log,
-                       outer_log=outer_log, wall_s=time.perf_counter() - t_start)
-
-
-def _dual_outputs(dual: MlpParams, data: _Stacked, cont: ContingencySet) -> np.ndarray:
-    out = np.empty((data.n, max(cont.n_gen, 1)))
-    for lo in range(0, data.n, EVAL_CHUNK):
-        sl = slice(lo, lo + EVAL_CHUNK)
-        out[sl], _ = mlp_forward(dual, data.x[sl])
-    return out[:, :cont.n_gen] if cont.n_gen else out[:, :0]
-
-
-def _residuals_all(pipe: PrimalPipeline, primal: MlpParams, data: _Stacked) -> np.ndarray:
-    rows = []
-    for lo in range(0, data.n, EVAL_CHUNK):
-        sl = slice(lo, lo + EVAL_CHUNK)
-        z, _ = mlp_forward(primal, data.x[sl])
-        st = pipe.forward(z, data.d[sl], data.gub[sl], with_slacks=False)
-        rows.append(st.h)
-    return np.concatenate(rows, axis=0)
+    return _train("pdl", case, factors, cont, instances, config,
+                  checkpoint_cb=checkpoint_cb)
 
 
 def train_penalty(case: GridCase, factors: LinearFactors, cont: ContingencySet,
@@ -327,110 +373,29 @@ def train_penalty(case: GridCase, factors: LinearFactors, cont: ContingencySet,
     """Self-supervised baseline: objective plus rho * sum h^2, same penalty
     schedule as the primal-dual trainer, no multiplier network.  Runs 2L
     inner steps per outer iteration so the total step count matches."""
-    t_start = time.perf_counter()
-    data = stack_instances(instances)
-    pipe = PrimalPipeline(case, factors, cont, t=config.bisect_iters)
-    primal, _ = build_networks(case, cont, data.x.shape[1], config.seed, need_dual=False)
-    primal_adam = AdamState.for_params(primal)
-    state = TrainerState(rho=config.rho0)
-    run = _Run(config, data.n)
-    outer_log = []
-    v_k = float("nan")
-
-    for k in range(1, config.K + 1):
-        for l in range(1, 2 * config.L + 1):
-            idx = run.next_batch()
-            z, tape, st = _forward_batch(pipe, primal, data, idx)
-            obj = pipe.objective(st, data.c[idx])
-            h = st.h
-            loss_vec = obj / config.obj_scale + state.rho * (h * h).sum(-1)
-            g_t, g_k = pipe.objective_grads(st, data.c[idx])
-            g_t = g_t / config.obj_scale
-            g_k = g_k / config.obj_scale + 2.0 * state.rho * h[..., None]
-            loss = float(loss_vec.mean())
-            lr = run.lr()
-            run.record(k, l, loss, state.rho, v_k)
-            _apply_step(pipe, primal, tape, st, g_t, g_k, primal_adam, lr,
-                        config.batch)
-        v_k = max_violation(pipe, primal, data)
-        new_rho = update_penalty(state.rho, v_k, state.v_prev, config)
-        outer_log.append({"outer_k": k, "rho": state.rho, "v_k": v_k,
-                          "mean_objective": _mean_objective(pipe, primal, data)})
-        state = TrainerState(rho=new_rho, v_prev=v_k, outer=k, inner=2 * config.L)
-        if checkpoint_cb is not None:
-            checkpoint_cb(k, primal, primal_adam, None, None, state)
-
-    return TrainResult(method="penalty", primal=primal, primal_adam=primal_adam,
-                       dual=None, dual_adam=None, state=state, log=run.log,
-                       outer_log=outer_log, wall_s=time.perf_counter() - t_start)
-
-
-def _supervised(method: str, case, factors, cont, instances, g_star, config,
-                checkpoint_cb=None) -> TrainResult:
-    t_start = time.perf_counter()
-    data = stack_instances(instances, g_star=g_star)
-    if data.g_star is None:
-        raise DataError(f"{method} training requires reference dispatch labels; "
-                        "label the dataset with the oracle first")
-    pipe = PrimalPipeline(case, factors, cont, t=config.bisect_iters)
-    primal, _ = build_networks(case, cont, data.x.shape[1], config.seed, need_dual=False)
-    primal_adam = AdamState.for_params(primal)
-    state = TrainerState(rho=LD_PENALTY if method == "ld" else 0.0)
-    run = _Run(config, data.n)
-    with_h = method == "ld"
-
-    for k in range(1, config.K + 1):
-        for l in range(1, 2 * config.L + 1):
-            idx = run.next_batch()
-            z, tape, st = _forward_batch(pipe, primal, data, idx, with_slacks=False)
-            diff = st.gtilde - data.g_star[idx]
-            dist = np.linalg.norm(diff, axis=-1)
-            g_t = diff / np.maximum(dist, 1e-12)[..., None]
-            loss_vec = dist
-            g_k = None
-            if with_h:
-                h = st.h
-                loss_vec = loss_vec + LD_PENALTY * (h * h).sum(-1)
-                g_k = 2.0 * LD_PENALTY * h[..., None] * np.ones(case.n_gen)
-            loss = float(loss_vec.mean())
-            lr = run.lr()
-            run.record(k, l, loss, state.rho, float("nan"))
-            _apply_step(pipe, primal, tape, st, g_t, g_k, primal_adam, lr,
-                        config.batch)
-        state = TrainerState(rho=state.rho, v_prev=state.v_prev, outer=k,
-                             inner=2 * config.L)
-        if checkpoint_cb is not None:
-            checkpoint_cb(k, primal, primal_adam, None, None, state)
-
-    return TrainResult(method=method, primal=primal, primal_adam=primal_adam,
-                       dual=None, dual_adam=None, state=state, log=run.log,
-                       outer_log=[], wall_s=time.perf_counter() - t_start)
+    return _train("penalty", case, factors, cont, instances, config,
+                  checkpoint_cb=checkpoint_cb)
 
 
 def train_naive(case, factors, cont, instances, g_star, config,
                 checkpoint_cb=None) -> TrainResult:
     """Supervised baseline: Euclidean distance between the repaired dispatch
     and the reference dispatch."""
-    return _supervised("naive", case, factors, cont, instances, g_star, config,
-                       checkpoint_cb)
+    return _train("naive", case, factors, cont, instances, config, g_star,
+                  checkpoint_cb)
 
 
 def train_ld(case, factors, cont, instances, g_star, config,
              checkpoint_cb=None) -> TrainResult:
     """Supervised baseline: distance loss plus a fixed-coefficient squared
     penalty on the contingency balance residuals."""
-    return _supervised("ld", case, factors, cont, instances, g_star, config,
-                       checkpoint_cb)
+    return _train("ld", case, factors, cont, instances, config, g_star,
+                  checkpoint_cb)
 
 
 def train(method: str, case, factors, cont, instances, config,
           g_star=None, checkpoint_cb=None) -> TrainResult:
-    if method == "pdl":
-        return train_pdl(case, factors, cont, instances, config, checkpoint_cb)
-    if method == "penalty":
-        return train_penalty(case, factors, cont, instances, config, checkpoint_cb)
-    if method == "naive":
-        return train_naive(case, factors, cont, instances, g_star, config, checkpoint_cb)
-    if method == "ld":
-        return train_ld(case, factors, cont, instances, g_star, config, checkpoint_cb)
-    raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _train(method, case, factors, cont, instances, config, g_star,
+                  checkpoint_cb)

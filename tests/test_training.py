@@ -125,21 +125,67 @@ def test_pdl_deterministic(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data
     assert [row["loss"] for row in r1.log] == [row["loss"] for row in r2.log]
 
 
-def test_pdl_frozen_dual_during_primal(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
-    # the dual must be bit-identical across the primal phase; verify by
-    # checkpoint callback comparison between consecutive outer iterations
+def test_pdl_frozen_dual_during_primal(monkeypatch, tri_case_mod, tri_factors_mod,
+                                       tri_cont_mod, tri_data):
+    # the multipliers computed at the start of a primal phase are reused as
+    # the base of the dual targets, so the dual network must stay
+    # bit-identical from the first primal step to the first dual step
+    import scopflearn.training as training
+
+    nets = {}
+    build = training.build_networks
+
+    def capture(*args, **kwargs):
+        primal, nets["dual"] = build(*args, **kwargs)
+        return primal, nets["dual"]
+
+    def snapshot():
+        return b"".join(a.tobytes() for a in nets["dual"].arrays())
+
+    steps = []  # (stepped the dual?, dual bytes before, dual bytes after)
+    step = training.adam_step
+
+    def traced_step(params, grads, state, lr):
+        before = snapshot()
+        step(params, grads, state, lr)
+        steps.append((params is nets["dual"], before, snapshot()))
+
+    monkeypatch.setattr(training, "build_networks", capture)
+    monkeypatch.setattr(training, "adam_step", traced_step)
     cfg = TrainerConfig(**CHEAP)
-    snapshots = []
+    train_pdl(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg)
+
+    assert [is_dual for is_dual, _, _ in steps] == ([False] * cfg.L + [True] * cfg.L) * cfg.K
+    for k in range(cfg.K):
+        primal_phase = steps[2 * k * cfg.L:(2 * k + 1) * cfg.L]
+        dual_phase = steps[(2 * k + 1) * cfg.L:(2 * k + 2) * cfg.L]
+        frozen = primal_phase[0][1]
+        assert all(before == after == frozen for _, before, after in primal_phase)
+        assert dual_phase[0][1] == frozen
+        assert dual_phase[-1][2] != frozen  # the dual phase does train it
+
+
+@pytest.mark.parametrize("trainer", [train_pdl, train_penalty])
+def test_outer_log_matches_fresh_evaluation(trainer, tri_case_mod, tri_factors_mod,
+                                            tri_cont_mod, tri_data):
+    # v_k and mean_objective of every outer iteration come from one pass over
+    # the dataset; both must match a fresh evaluation of that iteration's primal
+    cfg = TrainerConfig(**CHEAP)
+    primals = []
 
     def cb(k, primal, padam, dual, dadam, state):
-        snapshots.append([a.copy() for a in dual.arrays()])
+        primals.append(primal.copy())
 
-    res = train_pdl(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg,
-                    checkpoint_cb=cb)
-    assert len(snapshots) == cfg.K
-    # dual changed across outer iterations (it did train)
-    assert any(not np.array_equal(a, b)
-               for a, b in zip(snapshots[0], snapshots[1]))
+    res = trainer(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg,
+                  checkpoint_cb=cb)
+    pipe = PrimalPipeline(tri_case_mod, tri_factors_mod, tri_cont_mod, t=cfg.bisect_iters)
+    data = stack_instances(tri_data)
+    assert len(res.outer_log) == len(primals) == cfg.K
+    for row, primal in zip(res.outer_log, primals):
+        assert row["v_k"] == max_violation(pipe, primal, data)
+        z, _ = mlp_forward(primal, data.x)
+        st = pipe.forward(z, data.d, data.gub)
+        assert row["mean_objective"] == pipe.objective(st, data.c).mean()
 
 
 def test_penalty_trainer(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
