@@ -162,9 +162,10 @@ def oracle_solve(inst: Instance, case: GridCase, factors: LinearFactors,
     evals += probe.shape[0]
     best_hi = probe_vals.min() if probe_vals.size else np.inf
 
-    feasible = _recoverable(pipe, inst, lattice)
-    bounds = _cheap_lower_bound(pipe, inst, lattice)
-    survivors = lattice[feasible & (bounds <= best_hi + 1e-9)]
+    survivors = np.concatenate([
+        block[_recoverable(pipe, inst, block)
+              & (_cheap_lower_bound(pipe, inst, block) <= best_hi + 1e-9)]
+        for block in _blocks(lattice)])
 
     candidates = np.concatenate([probe, survivors], axis=0)
     values = np.concatenate([probe_vals, _batched_objective(pipe, inst, survivors)])
@@ -187,13 +188,16 @@ def oracle_solve(inst: Instance, case: GridCase, factors: LinearFactors,
                         evals=evals)
 
 
+def _blocks(g: np.ndarray) -> list:
+    """Row blocks of at most CHUNK (at least one, possibly empty), so the
+    lattice passes run at memory bounded by CHUNK, not by the lattice size."""
+    return [g[lo:lo + CHUNK] for lo in range(0, max(g.shape[0], 1), CHUNK)]
+
+
 def _batched_objective(pipe, inst, g: np.ndarray) -> np.ndarray:
     if g.shape[0] == 0:
         return np.zeros(0)
-    out = np.empty(g.shape[0])
-    for lo in range(0, g.shape[0], CHUNK):
-        out[lo:lo + CHUNK] = oracle_objective(g[lo:lo + CHUNK], inst, pipe)
-    return out
+    return np.concatenate([oracle_objective(block, inst, pipe) for block in _blocks(g)])
 
 
 def _polish(pipe, inst, g, val, glb, gub, resolution):

@@ -3,6 +3,7 @@ upper bounds, plus assembly of the normalized network input vector."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,17 +51,21 @@ class Instance:
         return float(self.d.sum())
 
 
+@functools.lru_cache(maxsize=None)
 def _correlation_factor(n: int, corr: float) -> np.ndarray:
     """Symmetric square root of the equicorrelation matrix corr + (1-corr)I.
 
     Computed via eigendecomposition so the degenerate corr = 1 case (rank one,
-    all deviations identical) works as well.
+    all deviations identical) works as well.  It depends only on (n, corr),
+    so it is computed once per pair and shared read-only.
     """
     C = np.full((n, n), corr) + (1.0 - corr) * np.eye(n)
     vals, vecs = np.linalg.eigh(C)
     if vals.min() < -1e-10:
         raise DataError("correlation matrix is not positive semidefinite")
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    root.flags.writeable = False
+    return root
 
 
 def sample_loads(case: GridCase, config: PerturbationConfig, rng: np.random.Generator) -> np.ndarray:
@@ -101,7 +106,9 @@ def input_vector(case: GridCase, d: np.ndarray, c: np.ndarray, gub: np.ndarray) 
 
 def balanced_box_vertices(glb: np.ndarray, gub: np.ndarray, total: float) -> np.ndarray:
     """Vertices of the balanced-dispatch polytope {1'g = total} within the
-    box: all but one coordinate pinned to a bound, the free one balancing."""
+    box: all but one coordinate pinned to a bound, the free one balancing.
+    There are up to n * 2^(n-1) of them; the reference solver uses them as
+    anchors on its small cases."""
     import itertools
 
     n = glb.size
@@ -120,31 +127,46 @@ def balanced_box_vertices(glb: np.ndarray, gub: np.ndarray, total: float) -> np.
 
 
 def _solvable(case: GridCase, cont: ContingencySet | None, d_total: float, gub: np.ndarray) -> bool:
-    """Instance-level solvability screen.
+    """Exact instance-level solvability screen.
 
-    Base case: total load inside [sum glb, sum gub].  Contingencies: some
-    candidate dispatch (a vertex of the balanced polytope or the proportional
-    point) must be recoverable under every admissible generator outage, which
-    certifies that the hard contingency balance constraints admit at least
-    one dispatch.  Outage coverage is concave in the dispatch, so the
-    vertices are where per-outage coverage peaks.
+    Base case: total load D inside [sum glb, sum gub].  Contingencies: some
+    balanced g in the box must satisfy sum_{i != k} min(g_i + r_i, gub_i) >= D
+    for every admissible generator outage k, with droop headroom
+    r = gamma * (gub - glb).  That holds iff the headroom
+    sum_i min(r_i, gub_i - g_i) reaches T = max_k min(g_k + r_k, gub_k).
+    For a fixed threshold T, each outaged unit k is capped at
+    U_k(T) = gub_k if T >= gub_k, else T - r_k; the others keep gub_i.  The
+    headroom is A0 = sum_i min(r_i, gub_i - glb_i) while every unit sits at or
+    below its knee max(glb_i, gub_i - r_i) and drops one for one above it, so
+    the best g fills units up to their knees first.  The instance is
+    recoverable iff some T has U(T) >= glb, sum U(T) >= D, T <= A0 and
+    T - sum_i min(U_i(T), knee_i) <= A0 - D.
+
+    Between consecutive gub_k, with m units still capped, the first two
+    conditions are lower bounds on T and the last has slope 1 - m, so below
+    the largest gub_k every condition but T <= A0 relaxes as T grows (the
+    step at each gub_k relaxes them too), and above it T is best as small
+    as possible.  A feasible T therefore exists iff one of the |Kg| + 1
+    thresholds {gub_k : k in Kg} and A0 is feasible: O(|Kg| * n_gen) work.
     """
     glb = case.glb
     if not (glb.sum() <= d_total <= gub.sum()):
         return False
     if cont is None or cont.n_gen == 0:
         return True
-    ghat = gub - glb
-    share = ghat / ghat.sum() if ghat.sum() > 0 else np.full_like(ghat, 1.0 / len(ghat))
-    g_ref = glb + (d_total - glb.sum()) * share
-    candidates = np.concatenate(
-        [balanced_box_vertices(glb, gub, d_total), g_ref[None, :]], axis=0)
-    droop = case.gamma * ghat
-    ok = np.ones(candidates.shape[0], bool)
-    for k in cont.gen_contingencies:
-        mask = np.arange(case.n_gen) != k
-        reachable = np.minimum(candidates + droop, gub)[:, mask].sum(-1)
-        ok &= reachable >= d_total
+    kg = np.asarray(cont.gen_contingencies, int)
+    r = case.gamma * (gub - glb)
+    knee = np.maximum(glb, gub - r)
+    a0 = np.minimum(r, gub - glb).sum()
+    T = np.append(gub[kg], a0)
+    U = np.tile(gub, (T.size, 1))
+    U[:, kg] = np.where(T[:, None] < gub[kg], T[:, None] - r[kg], gub[kg])
+    # a relative slack of 1e-12 keeps exact ties feasible under rounding
+    slack = 1e-12 * gub.sum()
+    ok = ((U[:, kg] >= glb[kg] - slack).all(-1)
+          & (U.sum(-1) >= d_total - slack)
+          & (T <= a0)
+          & (T - np.minimum(U, knee).sum(-1) <= a0 - d_total + slack))
     return bool(ok.any())
 
 

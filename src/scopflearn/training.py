@@ -187,6 +187,9 @@ def _sweep(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked"):
         st = pipe.forward(z, data.d[sl], data.gub[sl])
         h[sl] = st.h
         total += float(pipe.objective(st, data.c[sl]).sum())
+    # a NaN would make v_k NaN, and the penalty update never grows rho on it
+    if not (np.isfinite(h).all() and np.isfinite(total)):
+        raise DivergenceError("non-finite balance residual or objective in the evaluation pass")
     return h, total / data.n
 
 

@@ -3,10 +3,12 @@
 Nothing here imports computational code from scopflearn beyond the plain
 GridCase data container: flows are recomputed by solving the bus angle
 system from scratch, contingency responses by exact piecewise-linear root
-finding, and line outages by rebuilding the reduced network.
+finding, line outages by rebuilding the reduced network, and instance
+recoverability by a linear program.
 """
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def solve_dc_flows(n_bus, line_from, line_to, susceptance, slack_bus, injections):
@@ -79,6 +81,51 @@ def apr_dispatch(g, n, k, gamma, ghat, gub):
     gk = np.minimum(np.asarray(g, float) + n * gamma * ghat, gub)
     gk[k] = 0.0
     return gk
+
+
+def response_residuals(g, kg, gamma, glb, gub, d_total):
+    """Balance residual sum(g^k) - d_total of the droop response to each
+    outage k in kg, at the exact signal of exact_response_signal: zero where
+    a signal in [0, 1] balances the outage, else the shortfall (or surplus)
+    at the clipped signal.  Also returns each outage's surviving droop
+    sum_{i != k} gamma_i*ghat_i, the slope of the residual in the signal."""
+    g, gub = np.asarray(g, float), np.asarray(gub, float)
+    ghat = gub - glb
+    droop = gamma * ghat
+    resid = np.array([
+        apr_dispatch(g, exact_response_signal(g, k, gamma, ghat, gub, d_total),
+                     k, gamma, ghat, gub).sum() - d_total for k in kg])
+    return resid, droop.sum() - droop[np.asarray(kg, int)]
+
+
+def recoverable_by_lp(glb, gub, gamma, d_total, kg, tol=1e-9):
+    """Whether some balanced g in [glb, gub] lets every outage k in kg be
+    met by the droop response: sum_{i != k} min(g_i + r_i, gub_i) >= d_total
+    with r = gamma*(gub - glb).  HiGHS LP over (g, y, s) with y_i the
+    response cap, y_i <= g_i + r_i and y_i <= gub_i, maximizing the worst
+    margin s = min_k sum_{i != k} y_i - d_total; recoverable iff s >= -tol."""
+    glb, gub = np.asarray(glb, float), np.asarray(gub, float)
+    n, kg = glb.size, list(kg)
+    r = gamma * (gub - glb)
+    cost = np.zeros(2 * n + 1)
+    cost[-1] = -1.0
+    a_ub = np.zeros((n + len(kg), 2 * n + 1))
+    a_ub[np.arange(n), np.arange(n)] = -1.0
+    a_ub[np.arange(n), n + np.arange(n)] = 1.0
+    for j, k in enumerate(kg):
+        a_ub[n + j, n:2 * n] = -1.0
+        a_ub[n + j, n + k] = 0.0
+        a_ub[n + j, -1] = 1.0
+    b_ub = np.concatenate([r, np.full(len(kg), -d_total)])
+    a_eq = np.concatenate([np.ones(n), np.zeros(n + 1)])[None, :]
+    bounds = ([(lo, hi) for lo, hi in zip(glb, gub)] + [(None, hi) for hi in gub]
+              + [(None, None) if kg else (0.0, 0.0)])
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[d_total],
+                  bounds=bounds, method="highs")
+    if res.status == 2:
+        return False
+    assert res.status == 0, res.message
+    return -res.fun >= -tol
 
 
 def slack_from_flows(f, flb, fub):

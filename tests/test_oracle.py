@@ -200,3 +200,29 @@ def test_micro5_oracle_speed(m5):
         assert res.feasible
     elapsed = (time.perf_counter() - t0) / 3
     assert elapsed < 3.0  # 100 instances must fit in 5 minutes
+
+
+def test_lattice_blocks_do_not_change_labels(m5, monkeypatch):
+    # the lattice passes run in blocks of CHUNK rows; block boundaries at
+    # odd offsets, and a lattice far larger than one block, give the same
+    # labels as a single block
+    import scopflearn.oracle as oracle
+
+    case, factors, cont = m5
+    inst = sample_dataset(case, PerturbationConfig(seed=34), 1, cont=cont)[0][0]
+    whole = oracle_solve(inst, case, factors, cont, resolution=4e-3)
+    monkeypatch.setattr(oracle, "CHUNK", 997)
+    blocked = oracle_solve(inst, case, factors, cont, resolution=4e-3)
+    assert np.array_equal(whole.g_star, blocked.g_star)
+    assert (whole.obj_star, whole.evals) == (blocked.obj_star, blocked.evals)
+
+
+def test_lattice_blocks_cover_every_row(monkeypatch):
+    import scopflearn.oracle as oracle
+
+    monkeypatch.setattr(oracle, "CHUNK", 7)
+    for n in (0, 1, 6, 7, 8, 22):
+        g = np.arange(2.0 * n).reshape(n, 2)
+        blocks = oracle._blocks(g)
+        assert blocks and all(b.shape[0] <= 7 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), g)

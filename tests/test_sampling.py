@@ -1,16 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from scopflearn.errors import DataError
-from scopflearn.grid import GridCase
+from scopflearn.grid import ContingencySet, GridCase, build_factors, screen_contingencies
 from scopflearn.sampling import (
     Instance,
     PerturbationConfig,
+    _solvable,
     make_instance,
     sample_dataset,
     sample_factors,
     sample_loads,
 )
+
+from oracles import recoverable_by_lp
 
 
 def test_mu_zero_returns_base(m5_case, m5_cont):
@@ -129,3 +134,68 @@ def test_config_validation():
         PerturbationConfig(load_corr=-0.1)
     with pytest.raises(DataError):
         PerturbationConfig(z95=0.0)
+
+
+def _screen(glb, gub, gamma, d_total, kg):
+    # the screen reads only the lower bounds and droop factors of the case
+    case = SimpleNamespace(glb=np.asarray(glb, float), gamma=np.asarray(gamma, float))
+    return _solvable(case, ContingencySet(tuple(kg), ()), d_total, np.asarray(gub, float))
+
+
+def test_screen_agrees_with_lp_on_random_boxes():
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for _ in range(2000):
+        n = int(rng.integers(2, 9))
+        glb = rng.uniform(0.0, 1.0, n) * (rng.random() < 0.5)
+        gub = glb + rng.uniform(0.05, 2.0, n)
+        gamma = rng.uniform(0.05, 2.0, n)
+        kg = [int(k) for k in np.flatnonzero(rng.random(n) < 0.7)]
+        d_total = rng.uniform(glb.sum(), gub.sum())
+        ours = _screen(glb, gub, gamma, d_total, kg)
+        assert ours == recoverable_by_lp(glb, gub, gamma, d_total, kg), \
+            (glb, gub, gamma, d_total, kg)
+        verdicts.append(ours)
+    # both verdicts are well represented
+    assert 200 <= sum(verdicts) <= 1800
+
+
+def test_screen_accepts_interior_recovery():
+    # recoverable only for g_0 in [2.5, 3]: no vertex of the balanced box and
+    # not the proportional point, so a vertex-based screen rejects it
+    assert _screen([0.0, 0.0], [10.0, 20.0], [0.15, 0.15], 4.0, [0, 1])
+    assert recoverable_by_lp([0.0, 0.0], [10.0, 20.0], [0.15, 0.15], 4.0, [0, 1])
+    # with less droop the band closes (g_0 <= 2 and g_0 >= 3)
+    assert not _screen([0.0, 0.0], [10.0, 20.0], [0.1, 0.1], 4.0, [0, 1])
+    assert not recoverable_by_lp([0.0, 0.0], [10.0, 20.0], [0.1, 0.1], 4.0, [0, 1])
+
+
+def _mesh(n_gen, seed=0):
+    """Ring of 2*n_gen buses with n_gen chords, a generator on every other
+    bus and total capacity twice the base load."""
+    rng = np.random.default_rng(seed)
+    n_bus = 2 * n_gen
+    line_from = list(range(n_bus)) + [int(a) for a in rng.integers(0, n_bus, n_gen)]
+    line_to = [(i + 1) % n_bus for i in range(n_bus)] + \
+        [int(a + n_bus // 2) % n_bus for a in line_from[n_bus:]]
+    n_line = len(line_from)
+    d0 = rng.uniform(0.05, 0.15, n_gen)
+    cap = rng.uniform(0.8, 1.2, n_gen)
+    cap = cap / cap.sum() * 2.0 * d0.sum()
+    return GridCase(
+        n_bus=n_bus, gen_bus=list(range(0, n_bus, 2)), glb=list(0.1 * cap), gub0=list(cap),
+        c0=list(rng.uniform(3000.0, 4500.0, n_gen)), gamma=[0.8] * n_gen,
+        line_from=line_from, line_to=line_to, susceptance=list(rng.uniform(5.0, 15.0, n_line)),
+        flb=[-5.0] * n_line, fub=[5.0] * n_line, load_bus=list(range(1, n_bus, 2)),
+        d0=list(d0), slack_bus=0, name=f"mesh{n_gen}g")
+
+
+def test_samples_a_50_generator_mesh():
+    case = _mesh(50)
+    cont = screen_contingencies(case, build_factors(case))
+    assert cont.n_gen == 50
+    instances, _ = sample_dataset(case, PerturbationConfig(seed=12), 20, cont=cont)
+    assert len(instances) == 20
+    for inst in instances:
+        assert recoverable_by_lp(case.glb, inst.gub, case.gamma, inst.d_total,
+                                 cont.gen_contingencies)

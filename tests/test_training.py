@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scopflearn.errors import ConfigError, DataError
+from scopflearn.errors import ConfigError, DataError, DivergenceError
 from scopflearn.layers import PrimalPipeline
 from scopflearn.nn import mlp_forward
 from scopflearn.sampling import PerturbationConfig, sample_dataset
@@ -19,7 +19,7 @@ from scopflearn.training import (
     update_penalty,
 )
 
-from oracles import fd_gradient, rel_err
+from oracles import fd_gradient, rel_err, response_residuals
 
 
 CHEAP = dict(K=2, L=10, batch=4, seed=0)
@@ -94,13 +94,24 @@ def test_update_penalty_rule():
     assert update_penalty(0.1, 1e-9, float("inf"), cfg) == 0.1
 
 
-def test_max_violation_zero_on_solvable(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
+def test_max_violation_matches_reference_response(tri_case_mod, tri_factors_mod,
+                                                  tri_cont_mod, tri_data):
+    # an untrained network balances an outage only where its served dispatch
+    # admits a response signal in [0, 1]; elsewhere the residual is the
+    # shortfall at the full response.  Every instance and outage is pinned
+    # to the exact reference, up to the bisection's 2^-t signal resolution
     pipe = PrimalPipeline(tri_case_mod, tri_factors_mod, tri_cont_mod)
     from scopflearn.training import build_networks
     data = stack_instances(tri_data)
     primal, _ = build_networks(tri_case_mod, tri_cont_mod, data.x.shape[1], 0, False)
     v = max_violation(pipe, primal, data)
-    assert v <= 2.0 ** -25 * 4.0
+    z, _ = mlp_forward(primal, data.x)
+    st = pipe.forward(z, data.d, data.gub, with_slacks=False)
+    for i in range(data.n):
+        ref, droop = response_residuals(st.gtilde[i], pipe.kg, tri_case_mod.gamma,
+                                        tri_case_mod.glb, data.gub[i], data.d[i].sum())
+        assert np.all(np.abs(st.h[i] - ref) <= 2.0 ** -pipe.t * droop + 1e-12)
+    assert v == np.abs(st.h).max()
 
 
 def test_pdl_smoke_and_logs(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
@@ -186,6 +197,28 @@ def test_outer_log_matches_fresh_evaluation(trainer, tri_case_mod, tri_factors_m
         z, _ = mlp_forward(primal, data.x)
         st = pipe.forward(z, data.d, data.gub)
         assert row["mean_objective"] == pipe.objective(st, data.c).mean()
+
+
+def test_nan_residual_in_evaluation_pass_raises(monkeypatch, tri_case_mod, tri_factors_mod,
+                                                tri_cont_mod, tri_data):
+    # poison the primal network after its last step, so only the evaluation
+    # pass sees the NaN; the penalty method has no dual phase to trip on it
+    import scopflearn.training as training
+
+    cfg = TrainerConfig(**dict(CHEAP, K=1))
+    calls = []
+    step = training.adam_step
+
+    def poisoning_step(params, grads, state, lr):
+        step(params, grads, state, lr)
+        calls.append(1)
+        if len(calls) == 2 * cfg.L:
+            params.biases[-1][:] = np.nan
+
+    monkeypatch.setattr(training, "adam_step", poisoning_step)
+    with pytest.raises(DivergenceError):
+        train_penalty(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg)
+    assert len(calls) == 2 * cfg.L
 
 
 def test_penalty_trainer(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
