@@ -11,6 +11,14 @@ Each stage has an exact forward rule and a vector-Jacobian product.  The
 backward conventions are: the repair branch and the per-generator cap flags
 are frozen from the forward pass, and the converged response signal is
 treated as a constant (no gradient through the bisection root).
+
+Line-outage slacks are formed in blocks of outages of at most SLACK_BLOCK
+elements, so the post-outage flows of a batch never exist all at once.
+Training reads only per-instance reductions of them: the slack total and the
+weight vector of the objective gradient.  The per-outage slack and sign
+arrays, of shape (batch, line outage, line), are kept whole only when a
+caller asks for every slack (the default of ``forward``, for serving and
+reporting) or when they fit one block.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ from .errors import ConfigError
 from .grid import ContingencySet, GridCase, LinearFactors
 
 DEGENERATE_TOL = 1e-12
+# elements of one float64 temporary in the line-outage slack loop (512 KB);
+# a block holds at least one outage, however large the batch
+SLACK_BLOCK = 1 << 16
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -231,6 +242,13 @@ def binary_search_vjp(grad_gk: np.ndarray, rho: np.ndarray, kg: np.ndarray) -> n
 # ---------------------------------------------------------------------------
 # full batched pipeline
 
+def _sign_terms(sign: np.ndarray, lodf: np.ndarray):
+    """Reductions of line-outage sign patterns (B, n, n_line) that the
+    objective gradient reads: the sum over the outages (B, n_line), and each
+    outage's sum weighted by its LODF row (B, n)."""
+    return sign.sum(-2), (sign * lodf[None, :, :]).sum(-1)
+
+
 @dataclass
 class PipelineState:
     """Everything the forward pass saved for reporting and backward."""
@@ -253,6 +271,11 @@ class PipelineState:
     sign0: np.ndarray = None
     sign_g: np.ndarray = None
     sign_e: np.ndarray = None
+    # line-outage slacks reduced over several blocks, in place of eta_e and
+    # sign_e: the per-instance slack total (B,) and the objective-gradient
+    # weights on the base flows (B, n_line)
+    eta_e_sum: np.ndarray = None
+    weights: np.ndarray = None
 
 
 class PrimalPipeline:
@@ -277,7 +300,16 @@ class PrimalPipeline:
         self.lodf_ke = factors.lodf[:, self.ke].T if self.ke.size else np.zeros((0, case.n_line))
 
     def forward(self, z: np.ndarray, d: np.ndarray, gub: np.ndarray,
-                with_slacks: bool = True) -> PipelineState:
+                with_slacks: bool | str = True) -> PipelineState:
+        """Raw outputs z (B, n_gen) to the full primal point.
+
+        with_slacks: True keeps every slack and sign array, the per-outage
+        line-outage ones included (serving, reporting).  "sums" keeps those
+        only while they fit one block of SLACK_BLOCK elements; beyond that
+        it reduces the line outages block by block to what training reads,
+        the per-instance slack total and objective-gradient weights.  False
+        retrieves no slacks.
+        """
         z = np.atleast_2d(np.asarray(z, float))
         d = np.atleast_2d(np.asarray(d, float))
         gub = np.atleast_2d(np.asarray(gub, float))
@@ -292,11 +324,12 @@ class PrimalPipeline:
                               gtilde=gtilde, gk=gk, nk=nk, rho=rho, h=h,
                               d_total=d_total)
         if with_slacks:
-            self._attach_slacks(state, d)
+            self._attach_slacks(state, d, with_slacks)
         return state
 
     def evaluate_dispatch(self, g: np.ndarray, d: np.ndarray, gub: np.ndarray,
-                          t: int | None = None) -> PipelineState:
+                          t: int | None = None,
+                          with_slacks: bool | str = True) -> PipelineState:
         """Forward pass starting from a given dispatch instead of raw network
         outputs (no bound map or repair); used by reference evaluations."""
         g = np.atleast_2d(np.asarray(g, float))
@@ -309,39 +342,93 @@ class PrimalPipeline:
         h = gk.sum(-1) - d_total[:, None]
         state = PipelineState(z=None, sig=None, glb=glb, gub=gub, repair_ctx=None,
                               gtilde=g, gk=gk, nk=nk, rho=rho, h=h, d_total=d_total)
-        self._attach_slacks(state, d)
+        if with_slacks:
+            self._attach_slacks(state, d, with_slacks)
         return state
 
-    def _attach_slacks(self, state: PipelineState, d: np.ndarray) -> None:
+    def _attach_slacks(self, state: PipelineState, d: np.ndarray, with_slacks) -> None:
+        if with_slacks is not True and with_slacks != "sums":
+            raise ConfigError(f"with_slacks must be True, False or 'sums', got {with_slacks!r}")
         flow_d = d @ self.phi_load.T
         f0 = flow_d - state.gtilde @ self.phi_gen.T
         state.f0 = f0
         state.eta0, state.sign0 = self._slack_and_sign(f0)
         fg = flow_d[:, None, :] - state.gk @ self.phi_gen.T
         state.eta_g, state.sign_g = self._slack_and_sign(fg)
-        if self.ke.size:
-            post = f0[:, None, :] + f0[:, self.ke, None] * self.lodf_ke[None, :, :]
-            eta_e, sign_e = self._slack_and_sign(post)
-            rows = np.arange(self.ke.size)
-            eta_e[:, rows, self.ke] = 0.0
-            sign_e[:, rows, self.ke] = 0.0
-        else:
-            batch = f0.shape[0]
-            eta_e = np.zeros((batch, 0, self.case.n_line))
-            sign_e = np.zeros_like(eta_e)
-        state.eta_e = eta_e
-        state.sign_e = sign_e
+        batch, n_line = f0.shape
+        n_ke = self.ke.size
+        if not n_ke:
+            state.eta_e = np.zeros((batch, 0, n_line))
+            state.sign_e = np.zeros_like(state.eta_e)
+        for sl, eta, sign in self.line_outage_blocks(f0):
+            if eta.shape[1] == n_ke:
+                # one block, within SLACK_BLOCK: its arrays are kept, uncopied
+                state.eta_e, state.sign_e = eta, sign
+            elif with_slacks == "sums":
+                if sl.start == 0:
+                    total = np.zeros(batch)
+                    sign_sum = np.zeros(f0.shape)
+                    extra = np.empty((batch, n_ke))
+                total += eta.sum((-2, -1))
+                block_sum, extra[:, sl] = _sign_terms(sign, self.lodf_ke[sl])
+                sign_sum += block_sum   # integer-valued: exact in any order
+            else:
+                if sl.start == 0:
+                    # outage-major, the layout a single block comes out in,
+                    # so the slack sums match the one-block path bit for bit
+                    state.eta_e = np.empty((n_ke, batch, n_line)).transpose(1, 0, 2)
+                    state.sign_e = np.empty_like(state.eta_e)
+                state.eta_e[:, sl] = eta
+                state.sign_e[:, sl] = sign
+        if state.eta_e is None:
+            state.eta_e_sum = total
+            state.weights = self._weights(state.sign0, sign_sum, extra)
 
-    def _slack_and_sign(self, f: np.ndarray):
+    def line_outage_blocks(self, f0: np.ndarray, signs: bool = True):
+        """Thermal slacks of the screened line outages at base flows f0
+        (B, n_line), one block of outages at a time: yields (outage slice,
+        slack, sign) with arrays (B, outages in the block, n_line), the
+        outaged line's own entry zero, and sign None unless signs.
+
+        A block holds at most SLACK_BLOCK elements, or one outage when a
+        single one exceeds that, so memory does not grow with the outage
+        count.  This is the one place that forms post-outage flows.
+        """
+        step = max(1, SLACK_BLOCK // max(f0.size, 1))
+        for lo in range(0, self.ke.size, step):
+            sl = slice(lo, lo + step)
+            ke, lodf = self.ke[sl], self.lodf_ke[sl]
+            post = f0[:, None, :] + f0[:, ke, None] * lodf[None, :, :]
+            eta, sign = self._slack_and_sign(post, signs)
+            rows = np.arange(ke.size)
+            eta[:, rows, ke] = 0.0
+            if signs:
+                sign[:, rows, ke] = 0.0
+            yield sl, eta, sign
+
+    def _weights(self, sign0, sign_sum, extra) -> np.ndarray:
+        """Weights of the slack penalty on the base flows: the base-case and
+        summed line-outage sign patterns, plus the LODF term on the outaged
+        columns, added last so the weights do not depend on the blocking."""
+        w = sign0 + sign_sum
+        w[:, self.ke] += extra
+        return w
+
+    def _slack_and_sign(self, f: np.ndarray, signs: bool = True):
         over = f - self.fub
         under = self.flb - f
-        eta = np.maximum(0.0, np.maximum(over, under))
-        sign = np.where(over > 0, 1.0, 0.0) + np.where(under > 0, -1.0, 0.0)
+        eta = np.maximum(over, under)
+        np.maximum(0.0, eta, out=eta)
+        if not signs:
+            return eta, None
+        # in place: one temporary fewer at the peak of the training pass
+        sign = np.where(over > 0, 1.0, 0.0)
+        sign += np.where(under > 0, -1.0, 0.0)
         return eta, sign
 
     def slack_total(self, state: PipelineState) -> np.ndarray:
-        return (state.eta0.sum(-1) + state.eta_g.sum((-2, -1))
-                + state.eta_e.sum((-2, -1)))
+        line = state.eta_e_sum if state.eta_e is None else state.eta_e.sum((-2, -1))
+        return state.eta0.sum(-1) + state.eta_g.sum((-2, -1)) + line
 
     def objective(self, state: PipelineState, c: np.ndarray) -> np.ndarray:
         """Per-instance cost plus penalized slacks (requires slacks attached)."""
@@ -355,11 +442,9 @@ class PrimalPipeline:
         through the redistributed flow of the outaged line, so their sign
         patterns accumulate an extra term on the outaged-line column.
         """
-        w = state.sign0.copy()
-        if self.ke.size:
-            w += state.sign_e.sum(-2)
-            extra = (state.sign_e * self.lodf_ke[None, :, :]).sum(-1)
-            w[:, self.ke] += extra
+        w = state.weights
+        if w is None:
+            w = self._weights(state.sign0, *_sign_terms(state.sign_e, self.lodf_ke))
         grad_gtilde = np.atleast_2d(c) - self.Pi * (w @ self.phi_gen)
         grad_gk = -self.Pi * (state.sign_g @ self.phi_gen)
         return grad_gtilde, grad_gk

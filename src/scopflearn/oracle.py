@@ -50,7 +50,7 @@ def oracle_objective(g, inst: Instance, pipe: PrimalPipeline) -> np.ndarray:
     g = np.atleast_2d(np.asarray(g, float))
     state = pipe.evaluate_dispatch(g, np.broadcast_to(inst.d, (g.shape[0], inst.d.size)),
                                    np.broadcast_to(inst.gub, g.shape),
-                                   t=ORACLE_BISECT_ITERS)
+                                   t=ORACLE_BISECT_ITERS, with_slacks="sums")
     obj = pipe.objective(state, np.broadcast_to(inst.c, g.shape))
     if state.h.shape[-1]:
         infeasible = np.abs(state.h).max(-1) > BALANCE_TOL
@@ -90,11 +90,7 @@ def _cheap_lower_bound(pipe: PrimalPipeline, inst: Instance, g: np.ndarray) -> n
     case = pipe.case
     f0 = inst.d @ pipe.phi_load.T - g @ pipe.phi_gen.T
     eta = np.maximum(0.0, np.maximum(f0 - case.fub, case.flb - f0)).sum(-1)
-    if pipe.ke.size:
-        post = f0[:, None, :] + f0[:, pipe.ke, None] * pipe.lodf_ke[None, :, :]
-        eta_e = np.maximum(0.0, np.maximum(post - case.fub, case.flb - post))
-        rows = np.arange(pipe.ke.size)
-        eta_e[:, rows, pipe.ke] = 0.0
+    for _, eta_e, _ in pipe.line_outage_blocks(f0, signs=False):
         eta = eta + eta_e.sum((-2, -1))
     return g @ inst.c + case.Pi * eta
 
@@ -235,7 +231,8 @@ def _check_result(pipe, inst, g) -> None:
         raise DataError(f"reference dispatch violates power balance by {balance:g}")
     if np.any(g < pipe.glb - 1e-9) or np.any(g > inst.gub + 1e-9):
         raise DataError("reference dispatch violates generator bounds")
-    state = pipe.evaluate_dispatch(g, inst.d, inst.gub, t=ORACLE_BISECT_ITERS)
+    state = pipe.evaluate_dispatch(g, inst.d, inst.gub, t=ORACLE_BISECT_ITERS,
+                                   with_slacks=False)
     if state.h.size and np.abs(state.h).max() > BALANCE_TOL:
         raise DataError("reference dispatch cannot balance a contingency")
 

@@ -32,6 +32,8 @@ class EvalReport:
     max_slack_gen: float = 0.0
     max_slack_line: float = 0.0
     mean_inference_ms: float = float("nan")
+    p50_inference_ms: float = float("nan")
+    p99_inference_ms: float = float("nan")
     n_labeled: int = 0
 
     def summary_lines(self, mva: float | None = None) -> list[str]:
@@ -44,7 +46,8 @@ class EvalReport:
             f"max base-case slack      : {self.max_slack_base * scale:.3e} {unit}",
             f"max gen-outage slack     : {self.max_slack_gen * scale:.3e} {unit}",
             f"max line-outage slack    : {self.max_slack_line * scale:.3e} {unit}",
-            f"mean inference time      : {self.mean_inference_ms:.3f} ms",
+            f"mean inference time      : {self.mean_inference_ms:.3f} ms "
+            f"(p50 {self.p50_inference_ms:.3f} ms, p99 {self.p99_inference_ms:.3f} ms)",
         ]
         if self.n_labeled:
             lines.insert(2, f"mean optimality gap      : {self.mean_gap_pct:.3f} % "
@@ -101,7 +104,9 @@ def evaluate_model(case: GridCase, factors: LinearFactors, cont: ContingencySet,
         report.max_slack_gen = max(report.max_slack_gen, row["max_slack_gen"])
         report.max_slack_line = max(report.max_slack_line, row["max_slack_line"])
     report.mean_objective = float(np.mean(objs)) if objs else float("nan")
-    report.mean_inference_ms = float(np.mean(times)) if times else float("nan")
+    if times:
+        report.mean_inference_ms = float(np.mean(times))
+        report.p50_inference_ms, report.p99_inference_ms = map(float, np.percentile(times, [50, 99]))
     if gaps:
         report.mean_gap_pct = float(np.mean(gaps))
         report.n_labeled = len(gaps)

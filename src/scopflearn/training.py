@@ -38,6 +38,8 @@ from .sampling import Instance
 
 METHODS = ("pdl", "penalty", "naive", "ld")
 LD_PENALTY = 1e3
+# rows per chunk of the dataset passes; line-outage slacks are reduced in
+# blocks of layers.SLACK_BLOCK elements, so this does not set training memory
 EVAL_CHUNK = 256
 
 
@@ -184,7 +186,7 @@ def _sweep(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked"):
     for lo in range(0, data.n, EVAL_CHUNK):
         sl = slice(lo, lo + EVAL_CHUNK)
         z, _ = mlp_forward(primal, data.x[sl])
-        st = pipe.forward(z, data.d[sl], data.gub[sl])
+        st = pipe.forward(z, data.d[sl], data.gub[sl], with_slacks="sums")
         h[sl] = st.h
         total += float(pipe.objective(st, data.c[sl]).sum())
     # a NaN would make v_k NaN, and the penalty update never grows rho on it
@@ -317,7 +319,8 @@ def _train(method: str, case: GridCase, factors: LinearFactors, cont: Contingenc
             idx = run.next_batch()
             batch = data.take(idx)
             z, tape = mlp_forward(primal, batch.x)
-            st = pipe.forward(z, batch.d, batch.gub, with_slacks=self_supervised)
+            st = pipe.forward(z, batch.d, batch.gub,
+                              with_slacks="sums" if self_supervised else False)
             lam = None if lam_all is None else lam_all[idx]
             loss_vec, g_t, g_k = loss_fn(pipe, st, batch, lam, state.rho, config)
             lr = run.lr()  # before record(), which advances the step clock

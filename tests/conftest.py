@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -89,3 +90,39 @@ def make_mesh8(seed=7):
 @pytest.fixture(scope="session")
 def mesh8_case():
     return make_mesh8()
+
+
+def make_ring_mesh(grid_seed, n_bus, n_chords, n_gen, n_load):
+    """A ring of n_bus buses plus n_chords random chords, so every line
+    outage keeps the network connected.  Generator capacity is twice the base
+    load; line limits sit 30% above the base-case flows of a proportional
+    dispatch (at least 0.2 p.u.), so outages overload some lines."""
+    rng = np.random.default_rng(grid_seed)
+    line_from = list(range(n_bus))
+    line_to = [(i + 1) % n_bus for i in range(n_bus)]
+    seen = {tuple(sorted(p)) for p in zip(line_from, line_to)}
+    while len(line_from) < n_bus + n_chords:
+        a, b = sorted(int(v) for v in rng.choice(n_bus, 2, replace=False))
+        if (a, b) not in seen:
+            seen.add((a, b))
+            line_from.append(a)
+            line_to.append(b)
+    n_line = len(line_from)
+    gen_bus = np.sort(rng.choice(n_bus, n_gen, replace=False))
+    load_bus = np.sort(rng.choice(n_bus, n_load, replace=False))
+    d0 = rng.uniform(0.5, 1.5, n_load) * 10.0 / n_load
+    cap = rng.uniform(0.8, 1.2, n_gen)
+    cap = cap / cap.sum() * 2.0 * d0.sum()
+    glb = 0.1 * cap
+    unlimited = GridCase(
+        n_bus=n_bus, gen_bus=gen_bus, glb=glb, gub0=cap,
+        c0=rng.uniform(3000.0, 4500.0, n_gen), gamma=np.full(n_gen, 0.8),
+        line_from=line_from, line_to=line_to,
+        susceptance=rng.uniform(5.0, 15.0, n_line),
+        flb=np.full(n_line, -np.inf), fub=np.full(n_line, np.inf),
+        load_bus=load_bus, d0=d0, slack_bus=0, name=f"ring{n_bus}x{n_line}")
+    factors = build_factors(unlimited)
+    g = glb + (d0.sum() - glb.sum()) * (cap - glb) / (cap - glb).sum()
+    f0 = (factors.ptdf @ factors.load_incidence) @ d0 - (factors.ptdf @ factors.gen_incidence) @ g
+    limit = np.maximum(1.3 * np.abs(f0), 0.2)
+    return dataclasses.replace(unlimited, flb=-limit, fub=limit)

@@ -215,3 +215,23 @@ def test_eval_dimension_mismatch(tmp_path, capsys):
               str(out_dir / "checkpoint_final.bin"), "--dataset", str(data5)])
     assert rc == 3
     assert "does not match" in capsys.readouterr().err
+
+
+def test_eval_latency_percentiles(tri_case, tri_factors, tri_cont):
+    from scopflearn.report import evaluate_model
+    from scopflearn.sampling import PerturbationConfig, sample_dataset
+    from scopflearn.training import build_networks
+
+    instances, _ = sample_dataset(tri_case, PerturbationConfig(seed=6), 40, cont=tri_cont)
+    primal, _ = build_networks(tri_case, tri_cont, instances[0].x.size, seed=1,
+                               need_dual=False)
+    report = evaluate_model(tri_case, tri_factors, tri_cont, primal, instances)
+    times = [row["inference_ms"] for row in report.rows]
+    assert len(times) == 40
+    assert report.mean_inference_ms == float(np.mean(times))
+    assert report.p50_inference_ms == float(np.percentile(times, 50))
+    assert report.p99_inference_ms == float(np.percentile(times, 99))
+    assert min(times) <= report.p50_inference_ms <= report.p99_inference_ms <= max(times)
+    line = next(s for s in report.summary_lines() if s.startswith("mean inference time"))
+    assert (f"{report.mean_inference_ms:.3f} ms (p50 {report.p50_inference_ms:.3f} ms, "
+            f"p99 {report.p99_inference_ms:.3f} ms)") in line

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from scopflearn import layers
 from scopflearn.errors import ConfigError
+from scopflearn.grid import GridCase, build_factors, screen_contingencies
 from scopflearn.layers import (
     PrimalPipeline,
     binary_search_batch,
@@ -14,6 +18,7 @@ from scopflearn.layers import (
 )
 from scopflearn.sampling import PerturbationConfig, sample_dataset
 
+from conftest import make_ring_mesh
 from oracles import exact_response_signal, fd_gradient, fd_jacobian, rel_err
 
 
@@ -347,3 +352,116 @@ def test_pipeline_objective_matches_scopf_eval(m5_case, m5_factors, m5_cont):
         assert np.allclose(state.eta0[0], est.eta0)
         assert np.allclose(state.eta_g[0], est.eta_g)
         assert np.allclose(state.eta_e[0], est.eta_e)
+
+
+# ---------------------------------------------------------------------------
+# line-outage slacks: blocked reductions against per-outage arrays
+
+def _mesh_request(case, n_rows, seed):
+    factors = build_factors(case)
+    pipe = PrimalPipeline(case, factors, screen_contingencies(case, factors))
+    rng = np.random.default_rng(seed)
+    z = rng.normal(scale=1.5, size=(n_rows, case.n_gen))
+    d = case.d0 * rng.uniform(0.9, 1.1, (n_rows, case.n_load))
+    gub = np.broadcast_to(case.gub0, (n_rows, case.n_gen))
+    c = case.c0 * rng.uniform(0.9, 1.1, (n_rows, case.n_gen))
+    return pipe, z, d, gub, c
+
+
+def _per_outage_reference(pipe, state):
+    """Line-outage slacks, signs and objective-gradient weights from the
+    whole (B, n_ke, n_line) post-outage flow array at once."""
+    f0 = state.f0
+    post = f0[:, None, :] + f0[:, pipe.ke, None] * pipe.lodf_ke[None, :, :]
+    over, under = post - pipe.fub, pipe.flb - post
+    eta = np.maximum(0.0, np.maximum(over, under))
+    sign = np.where(over > 0, 1.0, 0.0) + np.where(under > 0, -1.0, 0.0)
+    rows = np.arange(pipe.ke.size)
+    eta[:, rows, pipe.ke] = 0.0
+    sign[:, rows, pipe.ke] = 0.0
+    w = state.sign0.copy()
+    w += sign.sum(-2)
+    w[:, pipe.ke] += (sign * pipe.lodf_ke[None, :, :]).sum(-1)
+    return eta, sign, w
+
+
+def test_blocked_line_slacks_match_per_outage_arrays(monkeypatch):
+    case = make_ring_mesh(grid_seed=3, n_bus=40, n_chords=15, n_gen=5, n_load=20)
+    pipe, z, d, gub, c = _mesh_request(case, 6, seed=5)
+    assert pipe.ke.size == case.n_line == 55
+    one = pipe.forward(z, d, gub)
+    # 6 x 55 x 55 elements fit the default budget: one block
+    assert len(list(pipe.line_outage_blocks(one.f0))) == 1
+    eta_ref, sign_ref, w_ref = _per_outage_reference(pipe, one)
+    assert np.array_equal(one.eta_e, eta_ref) and np.array_equal(one.sign_e, sign_ref)
+    total_ref = one.eta0.sum(-1) + one.eta_g.sum((-2, -1)) + eta_ref.sum((-2, -1))
+    obj_ref = (c * one.gtilde).sum(-1) + case.Pi * total_ref
+    grads_ref = pipe.objective_grads(one, c)
+    assert one.weights is None
+    assert np.array_equal(grads_ref[0], c - case.Pi * (w_ref @ pipe.phi_gen))
+    assert np.array_equal(pipe.objective(one, c), obj_ref)
+
+    sums = pipe.forward(z, d, gub, with_slacks="sums")
+    assert np.array_equal(sums.eta_e, eta_ref) and sums.weights is None
+    assert np.array_equal(pipe.objective(sums, c), obj_ref)
+    for got, want in zip(pipe.objective_grads(sums, c), grads_ref):
+        assert np.array_equal(got, want)
+
+    # ten outages per block: six blocks, the last one short
+    monkeypatch.setattr(layers, "SLACK_BLOCK", 6 * 55 * 10)
+    blocks = list(pipe.line_outage_blocks(one.f0))
+    assert len(blocks) == 6 and blocks[-1][1].shape[1] == 5
+    last = blocks[-1][0]
+    assert eta_ref[:, last].sum() > 0 and np.abs(sign_ref[:, last]).sum() > 0
+    sums = pipe.forward(z, d, gub, with_slacks="sums")
+    assert sums.eta_e is None and sums.sign_e is None
+    assert np.array_equal(sums.weights, w_ref)
+    assert np.allclose(sums.eta_e_sum, eta_ref.sum((-2, -1)), rtol=1e-12, atol=0)
+    assert np.allclose(pipe.objective(sums, c), obj_ref, rtol=1e-12, atol=0)
+    full = pipe.forward(z, d, gub)
+    assert np.array_equal(full.eta_e, eta_ref) and np.array_equal(full.sign_e, sign_ref)
+    assert np.array_equal(pipe.objective(full, c), obj_ref)
+    for st in (sums, full):
+        for got, want in zip(pipe.objective_grads(st, c), grads_ref):
+            assert np.array_equal(got, want)
+
+
+def test_line_slacks_without_line_outages():
+    # a path: every line outage islands a bus, so none is screened in
+    case = GridCase(n_bus=3, gen_bus=[0, 2], glb=[0.0, 0.0], gub0=[2.0, 1.5],
+                    c0=[1000.0, 1800.0], gamma=[0.8, 0.8], line_from=[0, 1],
+                    line_to=[1, 2], susceptance=[4.0, 6.0], flb=[-0.3, -0.3],
+                    fub=[0.3, 0.3], load_bus=[1], d0=[1.2], slack_bus=0)
+    pipe, z, d, gub, c = _mesh_request(case, 4, seed=2)
+    assert pipe.ke.size == 0
+    full = pipe.forward(z, d, gub)
+    sums = pipe.forward(z, d, gub, with_slacks="sums")
+    for st in (full, sums):
+        assert st.eta_e.shape == st.sign_e.shape == (4, 0, 2)
+    assert full.eta0.sum() > 0
+    assert np.array_equal(pipe.objective(sums, c), pipe.objective(full, c))
+    for got, want in zip(pipe.objective_grads(sums, c), pipe.objective_grads(full, c)):
+        assert np.array_equal(got, want)
+
+
+def test_slack_mode_is_checked(m5_case, m5_factors, m5_cont):
+    pipe = PrimalPipeline(m5_case, m5_factors, m5_cont)
+    with pytest.raises(ConfigError):
+        pipe.forward(np.zeros(3), m5_case.d0, m5_case.gub0, with_slacks="full")
+
+
+def test_training_path_memory_does_not_grow_with_outages():
+    """One training-path forward and objective gradient on 128 rows of a
+    210-line mesh with all 210 outages screened in: a single (128, 210, 210)
+    float64 array would take 45 MB."""
+    case = make_ring_mesh(grid_seed=1, n_bus=150, n_chords=60, n_gen=6, n_load=75)
+    pipe, z, d, gub, c = _mesh_request(case, 128, seed=1)
+    assert pipe.ke.size == case.n_line == 210
+    tracemalloc.start()
+    try:
+        state = pipe.forward(z, d, gub, with_slacks="sums")
+        pipe.objective_grads(state, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
