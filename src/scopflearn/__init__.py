@@ -22,7 +22,6 @@ from .grid import (
 from .layers import (
     PrimalPipeline,
     binary_search_batch,
-    binary_search_layer,
     bound_map,
     repair_layer,
 )
@@ -30,16 +29,6 @@ from .nn import AdamState, MlpParams, adam_step, init_mlp, lr_schedule, mlp_back
 from .oracle import OracleResult, label_dataset, oracle_objective, oracle_solve
 from .report import EvalReport, evaluate_model
 from .sampling import Instance, PerturbationConfig, make_instance, sample_dataset
-from .scopf import (
-    PrimalEstimate,
-    apr_response,
-    balance_residuals,
-    base_flows,
-    scopf_objective,
-    slack_base,
-    slack_gen_contingency,
-    slack_line_contingency,
-)
 from .storage import Dataset, load_checkpoint, read_dataset, save_checkpoint, write_dataset
 from .training import (
     TrainerConfig,

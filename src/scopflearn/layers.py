@@ -136,53 +136,18 @@ def repair_layer_vjp(grad_gtilde: np.ndarray, ctx: RepairContext) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bisection on the global response signal
 
-def binary_search_layer(g, d_total: float, k: int, gamma, ghat, gub, t: int = 25):
-    """Bisect the response signal n in [0, 1] so the post-outage dispatch
-    balances the load, then emit the dispatch, signal and cap flags evaluated
-    at the returned signal.
+def binary_search_batch(g, d_total, kg, gamma, ghat, gub, t: int = 25):
+    """Bisect the response signal n in [0, 1] so each post-outage dispatch
+    balances the load, for a batch of dispatches and all generator
+    contingencies at once, then emit the dispatches, signals and cap flags
+    evaluated at the returned signals.
 
     Returns the evaluated signal with the smallest absolute residual (the
     final bracketing midpoint is evaluated as a candidate as well, so the
     residual never grows when t does).  When no balancing signal exists the
     search converges to the 0 or 1 boundary and the signed residual is left
-    to the caller.
-    """
-    if t < 1:
-        raise ConfigError(f"bisection iteration count must be >= 1, got {t}")
-    g = np.asarray(g, float)
-    droop = np.asarray(gamma, float) * np.asarray(ghat, float)
-    gub = np.asarray(gub, float)
-    survivors = np.ones(g.size, bool)
-    survivors[k] = False
-
-    def residual(n):
-        return np.minimum(g + n * droop, gub)[survivors].sum() - d_total
-
-    n_min, n_max = 0.0, 1.0
-    n = 0.5
-    best_n, best_abs = n, np.inf
-    for _ in range(t):
-        e = residual(n)
-        if abs(e) <= best_abs:
-            best_n, best_abs = n, abs(e)
-        if e > 0.0:
-            n_max = n
-        else:
-            n_min = n
-        n = 0.5 * (n_max + n_min)
-    if abs(residual(n)) <= best_abs:
-        best_n = n
-    raw = g + best_n * droop
-    gk = np.minimum(raw, gub)
-    rho = (raw > gub).astype(float)
-    gk[k] = 0.0
-    rho[k] = 0.0
-    return gk, best_n, rho
-
-
-def binary_search_batch(g, d_total, kg, gamma, ghat, gub, t: int = 25):
-    """Vectorized bisection over a batch of dispatches and all generator
-    contingencies at once.
+    to the caller.  A cap flag is set only where the uncapped response
+    strictly exceeds the upper bound.
 
     g: (B, G); d_total: (B,); ghat, gub: (B, G); kg: contingency indices (K,).
     Returns gk (B, K, G), nk (B, K), rho (B, K, G).
@@ -317,28 +282,27 @@ class PrimalPipeline:
         d_total = d.sum(-1)
         gcheck, sig = bound_map(z, glb, gub)
         gtilde, repair_ctx = repair_layer(gcheck, d_total, glb, gub)
-        gk, nk, rho = binary_search_batch(
-            gtilde, d_total, self.kg, self.gamma, gub - glb, gub, self.t)
-        h = gk.sum(-1) - d_total[:, None]
-        state = PipelineState(z=z, sig=sig, glb=glb, gub=gub, repair_ctx=repair_ctx,
-                              gtilde=gtilde, gk=gk, nk=nk, rho=rho, h=h,
-                              d_total=d_total)
-        if with_slacks:
-            self._attach_slacks(state, d, with_slacks)
+        state = self._dispatch_state(gtilde, d, d_total, glb, gub, self.t, with_slacks)
+        state.z, state.sig, state.repair_ctx = z, sig, repair_ctx
         return state
 
     def evaluate_dispatch(self, g: np.ndarray, d: np.ndarray, gub: np.ndarray,
                           t: int | None = None,
                           with_slacks: bool | str = True) -> PipelineState:
-        """Forward pass starting from a given dispatch instead of raw network
-        outputs (no bound map or repair); used by reference evaluations."""
-        g = np.atleast_2d(np.asarray(g, float))
+        """The bisection and slack retrieval of ``forward`` from a given
+        dispatch g (B, n_gen) instead of raw network outputs; reference
+        evaluations start here.  t overrides the pipeline's bisection
+        iteration count."""
         d = np.atleast_2d(np.asarray(d, float))
         gub = np.atleast_2d(np.asarray(gub, float))
-        glb = np.broadcast_to(self.glb, gub.shape)
-        d_total = d.sum(-1)
-        gk, nk, rho = binary_search_batch(
-            g, d_total, self.kg, self.gamma, gub - glb, gub, t or self.t)
+        return self._dispatch_state(np.atleast_2d(np.asarray(g, float)), d, d.sum(-1),
+                                    np.broadcast_to(self.glb, gub.shape), gub,
+                                    self.t if t is None else t, with_slacks)
+
+    def _dispatch_state(self, g, d, d_total, glb, gub, t, with_slacks) -> PipelineState:
+        """The tail that ``forward`` and ``evaluate_dispatch`` share, on
+        normalized (B, ...) arrays: bisection from dispatch g, then slacks."""
+        gk, nk, rho = binary_search_batch(g, d_total, self.kg, self.gamma, gub - glb, gub, t)
         h = gk.sum(-1) - d_total[:, None]
         state = PipelineState(z=None, sig=None, glb=glb, gub=gub, repair_ctx=None,
                               gtilde=g, gk=gk, nk=nk, rho=rho, h=h, d_total=d_total)
@@ -346,15 +310,20 @@ class PrimalPipeline:
             self._attach_slacks(state, d, with_slacks)
         return state
 
+    def base_flows(self, g: np.ndarray, d: np.ndarray):
+        """Flows driven by the loads d alone, and the base-case flows of
+        dispatch g: f0 = d @ phi_load' - g @ phi_gen'."""
+        flow_d = d @ self.phi_load.T
+        return flow_d, flow_d - g @ self.phi_gen.T
+
     def _attach_slacks(self, state: PipelineState, d: np.ndarray, with_slacks) -> None:
         if with_slacks is not True and with_slacks != "sums":
             raise ConfigError(f"with_slacks must be True, False or 'sums', got {with_slacks!r}")
-        flow_d = d @ self.phi_load.T
-        f0 = flow_d - state.gtilde @ self.phi_gen.T
+        flow_d, f0 = self.base_flows(state.gtilde, d)
         state.f0 = f0
-        state.eta0, state.sign0 = self._slack_and_sign(f0)
+        state.eta0, state.sign0 = self.slack_and_sign(f0)
         fg = flow_d[:, None, :] - state.gk @ self.phi_gen.T
-        state.eta_g, state.sign_g = self._slack_and_sign(fg)
+        state.eta_g, state.sign_g = self.slack_and_sign(fg)
         batch, n_line = f0.shape
         n_ke = self.ke.size
         if not n_ke:
@@ -399,7 +368,7 @@ class PrimalPipeline:
             sl = slice(lo, lo + step)
             ke, lodf = self.ke[sl], self.lodf_ke[sl]
             post = f0[:, None, :] + f0[:, ke, None] * lodf[None, :, :]
-            eta, sign = self._slack_and_sign(post, signs)
+            eta, sign = self.slack_and_sign(post, signs)
             rows = np.arange(ke.size)
             eta[:, rows, ke] = 0.0
             if signs:
@@ -414,7 +383,10 @@ class PrimalPipeline:
         w[:, self.ke] += extra
         return w
 
-    def _slack_and_sign(self, f: np.ndarray, signs: bool = True):
+    def slack_and_sign(self, f: np.ndarray, signs: bool = True):
+        """Thermal slacks max(0, f - fub, flb - f) of flows f, and their sign
+        pattern (+1 over the upper limit, -1 under the lower, else 0; None
+        unless signs)."""
         over = f - self.fub
         under = self.flb - f
         eta = np.maximum(over, under)
@@ -457,47 +429,3 @@ class PrimalPipeline:
             total = total + binary_search_vjp(grad_gk, state.rho, self.kg)
         grad_gcheck = repair_layer_vjp(total, state.repair_ctx)
         return bound_map_vjp(grad_gcheck, state.sig, state.glb, state.gub)
-
-    def frozen_forward_objective(self, z: np.ndarray, state: PipelineState,
-                                 d: np.ndarray, c: np.ndarray):
-        """Objective and residuals re-evaluated at new raw outputs z with every
-        branch decision frozen at the tape point: same repair branch, same cap
-        flags, same response signals, same slack sign patterns.
-
-        This is the exactly-differentiable surrogate whose analytic gradient
-        the backward pass computes; finite differences of it validate the VJPs.
-        """
-        z = np.atleast_2d(np.asarray(z, float))
-        d = np.atleast_2d(np.asarray(d, float))
-        gcheck, _ = bound_map(z, state.glb, state.gub)
-        ctx = state.repair_ctx
-        s = gcheck.sum(-1)
-        total_ub = state.gub.sum(-1)
-        total_lb = state.glb.sum(-1)
-        denom = np.where(ctx.deficit, total_ub - s, s - total_lb)
-        denom = np.where(ctx.degenerate, 1.0, denom)
-        zeta = np.where(ctx.deficit, state.d_total - s, s - state.d_total) / denom
-        zeta = np.where(ctx.degenerate, 1.0, zeta)
-        target = np.where(ctx.deficit[..., None], state.gub, state.glb)
-        gtilde = (1.0 - zeta)[..., None] * gcheck + zeta[..., None] * target
-        # frozen-mask contingency dispatch: linear in gtilde
-        droop = (self.gamma * (state.gub - state.glb))[:, None, :]
-        survivors = np.ones((self.kg.size, self.case.n_gen))
-        survivors[np.arange(self.kg.size), self.kg] = 0.0
-        raw = gtilde[:, None, :] + state.nk[..., None] * droop
-        gk = (raw * (1.0 - state.rho) + state.gub[:, None, :] * state.rho) * survivors
-        h = gk.sum(-1) - state.d_total[:, None]
-        flow_d = d @ self.phi_load.T
-        f0 = flow_d - gtilde @ self.phi_gen.T
-        fg = flow_d[:, None, :] - gk @ self.phi_gen.T
-        # frozen-sign slack: eta = sign * (f - active bound)
-        bound0 = np.where(state.sign0 > 0, self.fub, self.flb)
-        slack = (state.sign0 * (f0 - bound0)).sum(-1)
-        bound_g = np.where(state.sign_g > 0, self.fub, self.flb)
-        slack += (state.sign_g * (fg - bound_g)).sum((-2, -1))
-        if self.ke.size:
-            post = f0[:, None, :] + f0[:, self.ke, None] * self.lodf_ke[None, :, :]
-            bound_e = np.where(state.sign_e > 0, self.fub, self.flb)
-            slack += (state.sign_e * (post - bound_e)).sum((-2, -1))
-        obj = (np.atleast_2d(c) * gtilde).sum(-1) + self.Pi * slack
-        return obj, h, gtilde

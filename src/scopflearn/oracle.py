@@ -87,12 +87,11 @@ def _slice_lattice(glb, gub, d_total, resolution) -> np.ndarray:
 def _cheap_lower_bound(pipe: PrimalPipeline, inst: Instance, g: np.ndarray) -> np.ndarray:
     """Exact lower bound on F: cost plus base-case and line-contingency slack
     penalties (generator-contingency slacks are nonnegative)."""
-    case = pipe.case
-    f0 = inst.d @ pipe.phi_load.T - g @ pipe.phi_gen.T
-    eta = np.maximum(0.0, np.maximum(f0 - case.fub, case.flb - f0)).sum(-1)
+    _, f0 = pipe.base_flows(g, inst.d)
+    eta = pipe.slack_and_sign(f0, signs=False)[0].sum(-1)
     for _, eta_e, _ in pipe.line_outage_blocks(f0, signs=False):
         eta = eta + eta_e.sum((-2, -1))
-    return g @ inst.c + case.Pi * eta
+    return g @ inst.c + pipe.Pi * eta
 
 
 def _recoverable(pipe: PrimalPipeline, inst: Instance, g: np.ndarray) -> np.ndarray:

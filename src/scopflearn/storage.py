@@ -78,8 +78,9 @@ def read_blob(path, magic: bytes):
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(raw):
             raise DataError(f"truncated blob {path}")
-        arr = np.frombuffer(raw[offset:offset + nbytes], dtype=dtype).reshape(spec["shape"])
-        arrays[spec["name"]] = arr.copy()
+        # the one copy per array: writeable, and it lets the file bytes go
+        arrays[spec["name"]] = np.frombuffer(raw, dtype, count, offset).reshape(
+            spec["shape"]).copy()
         offset += nbytes
     return meta, arrays, flags
 
@@ -202,15 +203,15 @@ def _unpack_net(prefix: str, spec: dict, arrays: dict) -> tuple[MlpParams, AdamS
     params = MlpParams(sizes=tuple(spec["sizes"]), use_layernorm=spec["use_layernorm"])
     n_layers = len(spec["sizes"]) - 1
     for i in range(n_layers):
-        params.weights.append(arrays[f"{prefix}.w{i}"].copy())
-        params.biases.append(arrays[f"{prefix}.b{i}"].copy())
+        params.weights.append(arrays[f"{prefix}.w{i}"])
+        params.biases.append(arrays[f"{prefix}.b{i}"])
         if params.use_layernorm:
-            params.ln_gain.append(arrays[f"{prefix}.ln_g{i}"].copy())
-            params.ln_offset.append(arrays[f"{prefix}.ln_b{i}"].copy())
+            params.ln_gain.append(arrays[f"{prefix}.ln_g{i}"])
+            params.ln_offset.append(arrays[f"{prefix}.ln_b{i}"])
     n_arrays = len(params.arrays())
     adam = AdamState(
-        m=[arrays[f"{prefix}.adam_m{i}"].copy() for i in range(n_arrays)],
-        v=[arrays[f"{prefix}.adam_v{i}"].copy() for i in range(n_arrays)],
+        m=[arrays[f"{prefix}.adam_m{i}"] for i in range(n_arrays)],
+        v=[arrays[f"{prefix}.adam_v{i}"] for i in range(n_arrays)],
         step=int(spec["adam_step"]),
         beta1=float(spec["adam_beta1"]),
         beta2=float(spec["adam_beta2"]),

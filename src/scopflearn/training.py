@@ -165,22 +165,9 @@ def update_penalty(rho: float, v: float, v_prev: float, config: TrainerConfig) -
     return rho
 
 
-def max_violation(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked") -> float:
-    """Worst contingency balance residual of the current primal network over
-    the dataset (infinity norm)."""
-    worst = 0.0
-    for lo in range(0, data.n, EVAL_CHUNK):
-        sl = slice(lo, lo + EVAL_CHUNK)
-        z, _ = mlp_forward(primal, data.x[sl])
-        st = pipe.forward(z, data.d[sl], data.gub[sl], with_slacks=False)
-        if st.h.size:
-            worst = max(worst, float(np.abs(st.h).max()))
-    return worst
-
-
 def _sweep(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked"):
     """One chunked pass of the primal network over the dataset: the balance
-    residuals h (n, |Kg|) and the mean objective."""
+    residuals h (n, |Kg|), their infinity norm v_k and the mean objective."""
     h = np.empty((data.n, pipe.kg.size))
     total = 0.0
     for lo in range(0, data.n, EVAL_CHUNK):
@@ -192,7 +179,13 @@ def _sweep(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked"):
     # a NaN would make v_k NaN, and the penalty update never grows rho on it
     if not (np.isfinite(h).all() and np.isfinite(total)):
         raise DivergenceError("non-finite balance residual or objective in the evaluation pass")
-    return h, total / data.n
+    return h, float(np.abs(h).max()) if h.size else 0.0, total / data.n
+
+
+def max_violation(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked") -> float:
+    """Worst contingency balance residual of the current primal network over
+    the dataset (infinity norm): the v_k of one evaluation pass."""
+    return _sweep(pipe, primal, data)[1]
 
 
 def _dual_outputs(dual: MlpParams, data: "_Stacked", cont: ContingencySet) -> np.ndarray:
@@ -331,8 +324,7 @@ def _train(method: str, case: GridCase, factors: LinearFactors, cont: Contingenc
 
         rho, v_prev = state.rho, state.v_prev
         if self_supervised:
-            h, mean_objective = _sweep(pipe, primal, data)
-            v_k = float(np.abs(h).max()) if h.size else 0.0
+            h, v_k, mean_objective = _sweep(pipe, primal, data)
             outer_log.append({"outer_k": k, "rho": state.rho, "v_k": v_k,
                               "mean_objective": mean_objective})
             rho, v_prev = update_penalty(state.rho, v_k, state.v_prev, config), v_k

@@ -5,10 +5,16 @@ GridCase data container: flows are recomputed by solving the bus angle
 system from scratch, contingency responses by exact piecewise-linear root
 finding, line outages by rebuilding the reduced network, and instance
 recoverability by a linear program.
+
+It also holds the frozen-branch surrogate of the dispatch pipeline
+(``frozen_objective``), whose finite differences check the pipeline's
+vector-Jacobian products.  It reads the pipeline's factor maps and the tape
+of one forward pass, and recomputes everything else itself.
 """
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.special import expit
 
 
 def solve_dc_flows(n_bus, line_from, line_to, susceptance, slack_bus, injections):
@@ -132,30 +138,84 @@ def slack_from_flows(f, flb, fub):
     return np.maximum(0.0, np.maximum(f - fub, flb - f))
 
 
+def reference_slacks(case, g, gk, ke, d):
+    """Thermal slacks of base dispatch g (n_line,), of each contingency
+    dispatch in gk (len(gk), n_line) and of each line outage in ke
+    (len(ke), n_line), from fresh angle solves.  An outaged line's own entry
+    is zero: it carries no flow."""
+    def slack(f):
+        return slack_from_flows(f, case.flb, case.fub)
+
+    eta_e = np.zeros((len(ke), case.n_line))
+    for j, k in enumerate(ke):
+        eta_e[j] = slack(case_flows_without_line(case, k, g, d))
+        eta_e[j, k] = 0.0
+    eta_g = np.array([slack(case_flows(case, x, d)) for x in gk]).reshape(-1, case.n_line)
+    return slack(case_flows(case, g, d)), eta_g, eta_e
+
+
 def full_objective(case, kg, ke, g, d, c, gub, tol=1e-6, t_unused=None):
     """Independent evaluation of cost plus penalized thermal slacks, with the
     contingency balance treated as a hard constraint (returns +inf when any
     admissible generator outage cannot be balanced within tol)."""
     g = np.asarray(g, float)
     d = np.asarray(d, float)
-    gamma, ghat = case.gamma, np.asarray(gub, float) - case.glb
+    gub = np.asarray(gub, float)
+    gamma, ghat = case.gamma, gub - case.glb
     d_total = d.sum()
-    total = float(np.dot(c, g))
-    f0 = case_flows(case, g, d)
-    total += case.Pi * slack_from_flows(f0, case.flb, case.fub).sum()
+    gks = []
     for k in kg:
-        n = exact_response_signal(g, k, gamma, ghat, np.asarray(gub, float), d_total)
-        gk = apr_dispatch(g, n, k, gamma, ghat, np.asarray(gub, float))
-        if abs(gk.sum() - d_total) > tol:
+        n = exact_response_signal(g, k, gamma, ghat, gub, d_total)
+        gks.append(apr_dispatch(g, n, k, gamma, ghat, gub))
+        if abs(gks[-1].sum() - d_total) > tol:
             return np.inf
-        fk = case_flows(case, gk, d)
-        total += case.Pi * slack_from_flows(fk, case.flb, case.fub).sum()
-    for k in ke:
-        fk = case_flows_without_line(case, k, g, d)
-        eta = slack_from_flows(fk, case.flb, case.fub)
-        eta[k] = 0.0
-        total += case.Pi * eta.sum()
-    return total
+    eta0, eta_g, eta_e = reference_slacks(case, g, gks, ke, d)
+    return float(np.dot(c, g)) + case.Pi * (eta0.sum() + eta_g.sum() + eta_e.sum())
+
+
+def frozen_objective(pipe, z, state, d, c):
+    """Objective and residuals re-evaluated at new raw outputs z with every
+    branch decision frozen at the tape point of ``state``: same repair
+    branch, same cap flags, same response signals, same slack sign patterns.
+
+    This is the exactly-differentiable surrogate whose analytic gradient the
+    pipeline's backward pass computes; finite differences of it validate the
+    vector-Jacobian products.  Returns (objective, residuals h, gtilde).
+    """
+    z = np.atleast_2d(np.asarray(z, float))
+    d = np.atleast_2d(np.asarray(d, float))
+    gcheck = state.glb + expit(z) * (state.gub - state.glb)
+    ctx = state.repair_ctx
+    s = gcheck.sum(-1)
+    total_ub = state.gub.sum(-1)
+    total_lb = state.glb.sum(-1)
+    denom = np.where(ctx.deficit, total_ub - s, s - total_lb)
+    denom = np.where(ctx.degenerate, 1.0, denom)
+    zeta = np.where(ctx.deficit, state.d_total - s, s - state.d_total) / denom
+    zeta = np.where(ctx.degenerate, 1.0, zeta)
+    target = np.where(ctx.deficit[..., None], state.gub, state.glb)
+    gtilde = (1.0 - zeta)[..., None] * gcheck + zeta[..., None] * target
+    # frozen-mask contingency dispatch: linear in gtilde
+    droop = (pipe.gamma * (state.gub - state.glb))[:, None, :]
+    survivors = np.ones((pipe.kg.size, gtilde.shape[-1]))
+    survivors[np.arange(pipe.kg.size), pipe.kg] = 0.0
+    raw = gtilde[:, None, :] + state.nk[..., None] * droop
+    gk = (raw * (1.0 - state.rho) + state.gub[:, None, :] * state.rho) * survivors
+    h = gk.sum(-1) - state.d_total[:, None]
+    flow_d = d @ pipe.phi_load.T
+    f0 = flow_d - gtilde @ pipe.phi_gen.T
+    fg = flow_d[:, None, :] - gk @ pipe.phi_gen.T
+    # frozen-sign slack: eta = sign * (f - active bound)
+    bound0 = np.where(state.sign0 > 0, pipe.fub, pipe.flb)
+    slack = (state.sign0 * (f0 - bound0)).sum(-1)
+    bound_g = np.where(state.sign_g > 0, pipe.fub, pipe.flb)
+    slack += (state.sign_g * (fg - bound_g)).sum((-2, -1))
+    if pipe.ke.size:
+        post = f0[:, None, :] + f0[:, pipe.ke, None] * pipe.lodf_ke[None, :, :]
+        bound_e = np.where(state.sign_e > 0, pipe.fub, pipe.flb)
+        slack += (state.sign_e * (post - bound_e)).sum((-2, -1))
+    obj = (np.atleast_2d(c) * gtilde).sum(-1) + pipe.Pi * slack
+    return obj, h, gtilde
 
 
 def fd_gradient(fun, x, h=1e-6):

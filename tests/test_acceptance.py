@@ -14,7 +14,7 @@ import pytest
 from scopflearn.cases import micro5, triangle3
 from scopflearn.grid import build_factors, build_lodf, build_ptdf, branch_incidence, \
     bus_demand, screen_contingencies
-from scopflearn.layers import PrimalPipeline, binary_search_layer, repair_layer
+from scopflearn.layers import PrimalPipeline, binary_search_batch, repair_layer
 from scopflearn.nn import init_mlp, mlp_backward, mlp_forward
 from scopflearn.oracle import label_dataset, oracle_objective, oracle_solve
 from scopflearn.report import evaluate_model
@@ -29,7 +29,7 @@ from scopflearn.training import (
 )
 
 from conftest import make_mesh8, make_two_bus
-from oracles import case_flows_without_line, fd_gradient, rel_err
+from oracles import case_flows_without_line, fd_gradient, frozen_objective, rel_err
 
 TRAIN_SEEDS = (1, 2, 3)
 DATA_SEED_TRAIN = 11
@@ -136,16 +136,16 @@ def test_criterion_2_bisection_accuracy(t):
     gamma = np.full(3, 1.0)
     ghat = np.full(3, 2.0)
     gub = np.full(3, 4.0)
-    gk, nk, _ = binary_search_layer(g, 3.0, 2, gamma, ghat, gub, t=t)
+    gk, nk, _ = (a[0, 0] for a in binary_search_batch(g, 3.0, [2], gamma, ghat, gub, t=t))
     n_err = abs(nk - 0.25)
     resid = abs(gk.sum() - 3.0)
     droop = (gamma * ghat)[[0, 1]].sum()
     ok = _report(f"criterion 2 (t={t}): |nk - n*|", n_err, 2.0 ** -t)
     ok &= _report(f"criterion 2 (t={t}): residual", resid, 2.0 ** -t * droop)
     # infeasible case saturates with a signed residual
-    gk, nk, rho = binary_search_layer(np.array([1.0, 1.0]), 2.0, 1,
-                                      np.array([1.0, 1.0]), np.array([2.0, 2.0]),
-                                      np.array([1.5, 3.0]), t=t)
+    gk, nk, rho = (a[0, 0] for a in binary_search_batch(
+        np.array([1.0, 1.0]), 2.0, [1], np.array([1.0, 1.0]), np.array([2.0, 2.0]),
+        np.array([1.5, 3.0]), t=t))
     sat = 1.0 - nk
     ok &= _report(f"criterion 2 (t={t}): boundary saturation", sat, 2.0 ** -(t - 1))
     assert gk.sum() - 2.0 == pytest.approx(-0.5)
@@ -183,8 +183,8 @@ def test_criterion_3_gradient_fidelity(grid):
         grad_z = pipe.backward(state, grad_gt, grad_gk)[0]
 
         def loss(v):
-            obj, h, _ = pipe.frozen_forward_objective(v[None, :], state,
-                                                      inst.d[None, :], inst.c)
+            obj, h, _ = frozen_objective(pipe, v[None, :], state,
+                                         inst.d[None, :], inst.c)
             return obj[0] + lam @ h[0] + 0.5 * rho * (h[0] ** 2).sum()
 
         fd = fd_gradient(loss, z, h=1e-6)

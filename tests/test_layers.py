@@ -9,7 +9,6 @@ from scopflearn.grid import GridCase, build_factors, screen_contingencies
 from scopflearn.layers import (
     PrimalPipeline,
     binary_search_batch,
-    binary_search_layer,
     bound_map,
     bound_map_vjp,
     repair_layer,
@@ -19,7 +18,15 @@ from scopflearn.layers import (
 from scopflearn.sampling import PerturbationConfig, sample_dataset
 
 from conftest import make_ring_mesh
-from oracles import exact_response_signal, fd_gradient, fd_jacobian, rel_err
+from oracles import (
+    apr_dispatch,
+    exact_response_signal,
+    fd_gradient,
+    fd_jacobian,
+    frozen_objective,
+    reference_slacks,
+    rel_err,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +126,14 @@ def test_repair_jacobian_fd_both_branches():
 # ---------------------------------------------------------------------------
 # bisection layer
 
+def _bisect_one(g, d_total, k, gamma, ghat, gub, t=25):
+    """binary_search_batch on one dispatch and the single outage k."""
+    gk, nk, rho = binary_search_batch(g, d_total, [k], gamma, ghat, gub, t=t)
+    return gk[0, 0], nk[0, 0], rho[0, 0]
+
+
 def test_bisection_exact_first_midpoint():
-    gk, nk, rho = binary_search_layer(
+    gk, nk, rho = _bisect_one(
         g=np.array([1.0, 1.0]), d_total=2.0, k=1,
         gamma=np.array([1.0, 1.0]), ghat=np.array([2.0, 2.0]),
         gub=np.array([3.0, 3.0]), t=25)
@@ -130,8 +143,16 @@ def test_bisection_exact_first_midpoint():
     assert gk.sum() - 2.0 == 0.0
 
 
+def test_bisection_evaluates_final_midpoint():
+    # one step brackets the root 0.25 in [0, 0.5]; the final midpoint is it
+    g, gamma, ghat, gub = np.ones(3), np.ones(3), np.full(3, 2.0), np.full(3, 4.0)
+    gk, nk, _ = _bisect_one(g, 3.0, 2, gamma, ghat, gub, t=1)
+    assert nk == 0.25
+    assert gk.sum() == 3.0
+
+
 def test_bisection_infeasible_saturates():
-    gk, nk, rho = binary_search_layer(
+    gk, nk, rho = _bisect_one(
         g=np.array([1.0, 1.0]), d_total=2.0, k=1,
         gamma=np.array([1.0, 1.0]), ghat=np.array([2.0, 2.0]),
         gub=np.array([1.5, 3.0]), t=25)
@@ -143,7 +164,7 @@ def test_bisection_infeasible_saturates():
 
 def test_bisection_overgeneration_saturates_low():
     # even n = 0 leaves a surplus: signal converges to 0
-    gk, nk, rho = binary_search_layer(
+    gk, nk, rho = _bisect_one(
         g=np.array([2.0, 1.0]), d_total=1.5, k=1,
         gamma=np.array([1.0, 1.0]), ghat=np.array([1.0, 1.0]),
         gub=np.array([3.0, 3.0]), t=25)
@@ -159,7 +180,7 @@ def test_bisection_accuracy_bound(t):
     ghat = np.full(3, 2.0)
     gub = np.full(3, 4.0)
     d_total = 3.0  # outage removes 1.0; survivors each pick up 0.5 => n* = 0.25
-    gk, nk, rho = binary_search_layer(g, d_total, 2, gamma, ghat, gub, t=t)
+    gk, nk, rho = _bisect_one(g, d_total, 2, gamma, ghat, gub, t=t)
     assert abs(nk - 0.25) <= 2.0 ** -t
     droop_sum = (gamma * ghat)[[0, 1]].sum()
     assert abs(gk.sum() - d_total) <= 2.0 ** -t * droop_sum
@@ -177,7 +198,7 @@ def test_bisection_residual_nonincreasing_in_t():
         d_total = g.sum()
         r = []
         for t in (5, 10, 20, 40):
-            gk, _, _ = binary_search_layer(g, d_total, k, gamma, gub, gub, t=t)
+            gk, _, _ = _bisect_one(g, d_total, k, gamma, gub, gub, t=t)
             r.append(abs(gk.sum() - d_total))
         assert r[1] <= r[0] + 1e-15 and r[2] <= r[1] + 1e-15 and r[3] <= r[2] + 1e-15
 
@@ -191,7 +212,7 @@ def test_bisection_matches_exact_root():
         gamma = rng.uniform(0.2, 1.2, n_gen)
         k = int(rng.integers(n_gen))
         d_total = g.sum() * rng.uniform(0.9, 1.0)
-        gk, nk, _ = binary_search_layer(g, d_total, k, gamma, gub, gub, t=40)
+        gk, nk, _ = _bisect_one(g, d_total, k, gamma, gub, gub, t=40)
         n_star = exact_response_signal(g, k, gamma, gub, gub, d_total)
         assert abs(nk - n_star) <= 2.0 ** -40 + 1e-12
 
@@ -205,7 +226,7 @@ def test_bisection_structure_invariants_fuzz():
         g = rng.uniform(0, 1, n_gen) * gub
         gamma = rng.uniform(0.2, 1.5, n_gen)
         k = int(rng.integers(n_gen))
-        gk, nk, rho = binary_search_layer(g, g.sum(), k, gamma, gub, gub, t=25)
+        gk, nk, rho = _bisect_one(g, g.sum(), k, gamma, gub, gub, t=25)
         assert gk[k] == 0.0 and rho[k] == 0.0
         assert 0.0 <= nk <= 1.0
         mask = np.arange(n_gen) != k
@@ -216,6 +237,8 @@ def test_bisection_structure_invariants_fuzz():
 
 
 def test_bisection_batch_matches_scalar():
+    # every (instance, outage) pair of one batched call against the exact
+    # root and the reference response at it
     rng = np.random.default_rng(6)
     n_gen, n_batch = 4, 16
     gub = rng.uniform(0.5, 2.0, (n_batch, n_gen))
@@ -225,18 +248,23 @@ def test_bisection_batch_matches_scalar():
     kg = np.array([0, 2, 3])
     gk, nk, rho = binary_search_batch(g, d_total, kg, gamma, gub, gub, t=25)
     for b in range(n_batch):
+        droop = gamma * gub[b]
         for j, k in enumerate(kg):
-            gk1, n1, rho1 = binary_search_layer(
-                g[b], d_total[b], int(k), gamma, gub[b], gub[b], t=25)
-            assert np.allclose(gk[b, j], gk1, atol=1e-12)
-            assert np.isclose(nk[b, j], n1)
-            assert np.array_equal(rho[b, j], rho1)
+            n_star = exact_response_signal(g[b], k, gamma, gub[b], gub[b], d_total[b])
+            assert abs(nk[b, j] - n_star) <= 2.0 ** -25
+            assert np.allclose(gk[b, j], apr_dispatch(g[b], n_star, k, gamma, gub[b], gub[b]),
+                               rtol=0, atol=2.0 ** -25 * droop.max())
+            flags = (g[b] + n_star * droop > gub[b]) & (np.arange(n_gen) != k)
+            assert np.array_equal(rho[b, j], flags.astype(float))
 
 
-def test_bisection_rejects_bad_iteration_count():
+def test_bisection_rejects_bad_iteration_count(m5_case, m5_factors, m5_cont):
     with pytest.raises(ConfigError):
-        binary_search_layer(np.ones(2), 1.0, 0, np.ones(2), np.ones(2),
-                            np.full(2, 2.0), t=0)
+        _bisect_one(np.ones(2), 1.0, 0, np.ones(2), np.ones(2), np.full(2, 2.0), t=0)
+    # through the pipeline's dispatch path too: t=0 is not its default count
+    pipe = PrimalPipeline(m5_case, m5_factors, m5_cont)
+    with pytest.raises(ConfigError):
+        pipe.evaluate_dispatch(m5_case.glb, m5_case.d0, m5_case.gub0, t=0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +333,8 @@ def test_pipeline_gradient_matches_fd(m5_case, m5_factors, m5_cont):
         grad_z = pipe.backward(state, grad_gtilde, grad_gk)[0]
 
         def loss(v):
-            obj, h, _ = pipe.frozen_forward_objective(v[None, :], state,
-                                                      inst.d[None, :], inst.c)
+            obj, h, _ = frozen_objective(pipe, v[None, :], state,
+                                         inst.d[None, :], inst.c)
             return obj[0] + lam @ h[0] + 0.5 * rho_pen * (h[0] ** 2).sum()
 
         fd = fd_gradient(loss, z, h=1e-6)
@@ -335,8 +363,8 @@ def test_pipeline_balance_guarantee(m5_case, m5_factors, m5_cont):
 
 
 def test_pipeline_objective_matches_scopf_eval(m5_case, m5_factors, m5_cont):
-    from scopflearn.scopf import balance_residuals, evaluate_estimate, scopf_objective
-
+    # slacks re-solved from the pipeline's own dispatches, and the objective
+    # and residuals assembled from them
     pipe = PrimalPipeline(m5_case, m5_factors, m5_cont)
     cfg = PerturbationConfig(seed=9)
     instances, _ = sample_dataset(m5_case, cfg, 10, cont=m5_cont)
@@ -344,14 +372,14 @@ def test_pipeline_objective_matches_scopf_eval(m5_case, m5_factors, m5_cont):
     for inst in instances:
         z = rng.normal(scale=1.0, size=m5_case.n_gen)
         state = pipe.forward(z, inst.d, inst.gub)
-        est = evaluate_estimate(inst, state.gtilde[0], state.gk[0], state.nk[0],
-                                state.rho[0], m5_case, m5_factors, m5_cont)
-        assert np.isclose(pipe.objective(state, inst.c)[0],
-                          scopf_objective(inst, est, m5_case), rtol=1e-12)
-        assert np.allclose(state.h[0], balance_residuals(est, inst))
-        assert np.allclose(state.eta0[0], est.eta0)
-        assert np.allclose(state.eta_g[0], est.eta_g)
-        assert np.allclose(state.eta_e[0], est.eta_e)
+        g = state.gtilde[0]
+        eta0, eta_g, eta_e = reference_slacks(m5_case, g, state.gk[0], pipe.ke, inst.d)
+        ref = inst.c @ g + m5_case.Pi * (eta0.sum() + eta_g.sum() + eta_e.sum())
+        assert np.isclose(pipe.objective(state, inst.c)[0], ref, rtol=1e-12)
+        assert np.allclose(state.h[0], state.gk[0].sum(-1) - inst.d.sum())
+        assert np.allclose(state.eta0[0], eta0)
+        assert np.allclose(state.eta_g[0], eta_g)
+        assert np.allclose(state.eta_e[0], eta_e)
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,27 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.trainer["rho"] == 0.4
 
 
+def test_checkpoint_arrays_are_writeable_and_separate(tmp_path):
+    # training resumes in place on loaded arrays: each must own its memory
+    rng = np.random.default_rng(45)
+    primal = init_mlp((5, 7, 7, 2), rng, use_layernorm=True)
+    dual = init_mlp((5, 7, 1), rng, use_layernorm=False)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, Checkpoint(
+        method="pdl", case_name="t", dim_x=5, n_gen=2, primal=primal,
+        primal_adam=AdamState.for_params(primal), dual=dual,
+        dual_adam=AdamState.for_params(dual)))
+    back = load_checkpoint(path)
+    arrays = [a for params, adam in ((back.primal, back.primal_adam),
+                                     (back.dual, back.dual_adam))
+              for a in params.arrays() + adam.m + adam.v]
+    assert len(arrays) == 3 * (3 * 4 + 2 * 2)
+    for i, a in enumerate(arrays):
+        assert a.flags.writeable and a.flags.owndata
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_checkpoint_byte_identical(tmp_path):
     def build():
         rng = np.random.default_rng(44)

@@ -19,7 +19,7 @@ from scopflearn.training import (
     update_penalty,
 )
 
-from oracles import fd_gradient, rel_err, response_residuals
+from oracles import fd_gradient, frozen_objective, rel_err, response_residuals
 
 
 CHEAP = dict(K=2, L=10, batch=4, seed=0)
@@ -299,7 +299,7 @@ def test_full_pipeline_param_gradient(tri_case_mod, tri_factors_mod, tri_cont_mo
             a.flat[:] = vec[i:i + a.size]
             i += a.size
         zz, _ = mlp_forward(probe, data.x)
-        obj, h, _ = pipe.frozen_forward_objective(zz, st, data.d, data.c)
+        obj, h, _ = frozen_objective(pipe, zz, st, data.d, data.c)
         per = obj / 1e5 + (lam * h).sum(-1) + 0.5 * rho * (h * h).sum(-1)
         return float(per.mean())
 
