@@ -38,12 +38,9 @@ SLACK_BLOCK = 1 << 16
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) on both branches; min(z, -z) keeps a NaN's own bits
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------
@@ -161,33 +158,46 @@ def binary_search_batch(g, d_total, kg, gamma, ghat, gub, t: int = 25):
     kg = np.asarray(kg, int)
     n_batch, n_gen = g.shape
     n_cont = kg.size
+    # the outaged unit of each contingency gets zero base, droop and cap, so
+    # the loop needs no mask; its dispatch is 0 (NaN for a NaN dispatch)
     survivors = np.ones((n_cont, n_gen))
     survivors[np.arange(n_cont), kg] = 0.0
+    base = g[:, None, :] * survivors
+    droop = (np.asarray(gamma, float) * ghat)[:, None, :] * survivors
+    cap = gub[:, None, :] * survivors
+    target = d_total[:, None]
 
-    droop = (np.asarray(gamma, float) * ghat)[:, None, :]
-    g_b = g[:, None, :]
-    gub_b = gub[:, None, :]
     n = np.full((n_batch, n_cont), 0.5)
-    n_min = np.zeros((n_batch, n_cont))
-    n_max = np.ones((n_batch, n_cont))
     best_n = n.copy()
     best_abs = np.full((n_batch, n_cont), np.inf)
-    for _ in range(t):
-        gk = np.minimum(g_b + n[..., None] * droop, gub_b) * survivors
-        e = gk.sum(-1) - d_total[:, None]
-        better = np.abs(e) <= best_abs
-        best_n = np.where(better, n, best_n)
-        best_abs = np.where(better, np.abs(e), best_abs)
-        pos = e > 0.0
-        n_max = np.where(pos, n, n_max)
-        n_min = np.where(~pos, n, n_min)
-        n = 0.5 * (n_max + n_min)
-    gk = np.minimum(g_b + n[..., None] * droop, gub_b) * survivors
-    e = gk.sum(-1) - d_total[:, None]
-    best_n = np.where(np.abs(e) <= best_abs, n, best_n)
-    raw = g_b + best_n[..., None] * droop
-    gk = np.minimum(raw, gub_b) * survivors
-    rho = ((raw > gub_b) & (survivors > 0)).astype(float)
+    gk = np.empty((n_batch, n_cont, n_gen))
+    e, abs_e = np.empty((2, n_batch, n_cont))
+    mask = np.empty((n_batch, n_cont), bool)
+    n_col = n[..., None]
+    step = 0.25
+    for i in range(t + 1):
+        np.multiply(n_col, droop, out=gk)
+        gk += base
+        np.minimum(gk, cap, out=gk)
+        np.add.reduce(gk, -1, out=e)
+        e -= target
+        np.abs(e, out=abs_e)
+        # the last smallest |e| wins; NaN never does
+        np.less_equal(abs_e, best_abs, out=mask)
+        np.copyto(best_n, n, where=mask)
+        np.copyto(best_abs, abs_e, where=mask)
+        if i == t:
+            break   # the final midpoint was a candidate too
+        # the next midpoint, n - step where e > 0, else n + step: the
+        # bracket's exact midpoint, since every midpoint is dyadic, while the
+        # step stays above n's last bit (t <= 52)
+        np.greater(e, 0.0, out=mask)
+        n += step
+        np.subtract(n, 2.0 * step, out=n, where=mask)
+        step *= 0.5
+    raw = best_n[..., None] * droop + base
+    rho = (raw > cap).astype(float)
+    gk = np.minimum(raw, cap, out=raw)
     return gk, best_n, rho
 
 

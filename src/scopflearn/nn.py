@@ -5,7 +5,9 @@ external ML framework.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,55 +17,76 @@ LN_EPS = 1e-5
 FINAL_LAYER_SCALE = 1e-3
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(sizes: tuple, use_layernorm: bool) -> tuple:
+    """(name, shape, start, stop) of each array of a network in its flat
+    buffer; cached, since every backward pass lays out a gradient buffer."""
+    out, lo = [], 0
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        arrays = [(f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))]
+        if use_layernorm:
+            arrays += [(f"ln_g{i}", (fan_in,)), (f"ln_b{i}", (fan_in,))]
+        for name, shape in arrays:
+            out.append((name, shape, lo, lo + math.prod(shape)))
+            lo = out[-1][3]
+    return tuple(out)
+
+
 @dataclass
 class MlpParams:
     """Per-layer weights/biases plus optional layer-norm affine parameters.
 
     ``sizes`` lists the widths including input and output; layer i maps
     sizes[i] -> sizes[i+1].  When layer norm is enabled it is applied to the
-    input of every affine layer.
+    input of every affine layer.  Every array is a view, in ``named_arrays``
+    order, of one contiguous float64 buffer ``flat`` (zeros unless given),
+    so Adam updates a network in one element-wise pass.
     """
 
     sizes: tuple
     use_layernorm: bool
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
-    ln_gain: list = field(default_factory=list)
-    ln_offset: list = field(default_factory=list)
+    flat: np.ndarray = None
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat = np.zeros(sum(math.prod(shape) for _, shape in self.shapes()))
+        views = self.split(self.flat)
+        per = 4 if self.use_layernorm else 2
+        self.weights, self.biases = views[0::per], views[1::per]
+        self.ln_gain = views[2::per] if self.use_layernorm else []
+        self.ln_offset = views[3::per] if self.use_layernorm else []
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
+    def shapes(self):
+        """Canonical (name, shape) ordering used by Adam and checkpoints."""
+        return [(name, shape) for name, shape, _, _ in _layout(self.sizes, self.use_layernorm)]
+
+    def split(self, flat: np.ndarray) -> list:
+        """Views of a buffer laid out like ``flat`` (parameters, gradients or
+        Adam moments), one per named array."""
+        return [flat[lo:hi].reshape(shape)
+                for _, shape, lo, hi in _layout(self.sizes, self.use_layernorm)]
+
     def named_arrays(self):
-        """Canonical (name, array) ordering used by Adam and checkpoints."""
-        out = []
-        for i in range(self.n_layers):
-            out.append((f"w{i}", self.weights[i]))
-            out.append((f"b{i}", self.biases[i]))
-            if self.use_layernorm:
-                out.append((f"ln_g{i}", self.ln_gain[i]))
-                out.append((f"ln_b{i}", self.ln_offset[i]))
-        return out
+        return [(name, a) for (name, _), a in zip(self.shapes(), self.arrays())]
 
     def arrays(self):
-        return [a for _, a in self.named_arrays()]
+        return self.split(self.flat)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            sizes=self.sizes,
-            use_layernorm=self.use_layernorm,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            ln_gain=[g.copy() for g in self.ln_gain],
-            ln_offset=[o.copy() for o in self.ln_offset],
-        )
+        return MlpParams(self.sizes, self.use_layernorm, self.flat.copy())
 
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Adam moments, flat and laid out like the network's ``flat``;
+    ``MlpParams.split`` gives their per-array views."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -71,9 +94,7 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: MlpParams) -> "AdamState":
-        arrays = params.arrays()
-        return cls(m=[np.zeros_like(a) for a in arrays],
-                   v=[np.zeros_like(a) for a in arrays])
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def init_mlp(sizes, rng: np.random.Generator, use_layernorm: bool = False) -> MlpParams:
@@ -90,11 +111,9 @@ def init_mlp(sizes, rng: np.random.Generator, use_layernorm: bool = False) -> Ml
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         if i == last:
             w *= FINAL_LAYER_SCALE
-        params.weights.append(w)
-        params.biases.append(np.zeros(fan_out))
+        params.weights[i][:] = w
         if use_layernorm:
-            params.ln_gain.append(np.ones(fan_in))
-            params.ln_offset.append(np.zeros(fan_in))
+            params.ln_gain[i][:] = 1.0
     return params
 
 
@@ -115,10 +134,11 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
     last = params.n_layers - 1
     for i in range(params.n_layers):
         if params.use_layernorm:
-            mu = h.mean(-1, keepdims=True)
-            var = h.var(-1, keepdims=True)
-            inv_std = 1.0 / np.sqrt(var + LN_EPS)
-            xhat = (h - mu) * inv_std
+            # np.mean and np.var without their Python wrappers, same arithmetic
+            k = h.shape[-1]
+            xc = h - h.sum(-1, keepdims=True) / k
+            inv_std = 1.0 / np.sqrt((xc * xc).sum(-1, keepdims=True) / k + LN_EPS)
+            xhat = xc * inv_std
             a = params.ln_gain[i] * xhat + params.ln_offset[i]
         else:
             xhat, inv_std, a = None, None, h
@@ -132,48 +152,44 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
 def mlp_backward(params: MlpParams, tape, grad_output: np.ndarray):
     """Exact gradients of the forward map.
 
-    Returns (grads, grad_input) where grads mirrors MlpParams and the
-    parameter gradients are summed over the batch axis.
+    Returns (grads, grad_input) where grads mirrors MlpParams, in a new
+    flat buffer, and the parameter gradients are summed over the batch axis.
     """
     grad_output = np.atleast_2d(np.asarray(grad_output, float))
-    grads = MlpParams(sizes=params.sizes, use_layernorm=params.use_layernorm,
-                      weights=[None] * params.n_layers,
-                      biases=[None] * params.n_layers,
-                      ln_gain=[None] * params.n_layers if params.use_layernorm else [],
-                      ln_offset=[None] * params.n_layers if params.use_layernorm else [])
+    grads = MlpParams(params.sizes, params.use_layernorm, np.empty_like(params.flat))
     g = grad_output
     last = params.n_layers - 1
     for i in range(last, -1, -1):
         a, xhat, inv_std, pre = tape[i]
         if i < last:
             g = g * (pre > 0)
-        grads.weights[i] = a.T @ g
-        grads.biases[i] = g.sum(0)
+        np.matmul(a.T, g, out=grads.weights[i])
+        g.sum(0, out=grads.biases[i])
         g = g @ params.weights[i].T
         if params.use_layernorm:
-            grads.ln_gain[i] = (g * xhat).sum(0)
-            grads.ln_offset[i] = g.sum(0)
+            (g * xhat).sum(0, out=grads.ln_gain[i])
+            g.sum(0, out=grads.ln_offset[i])
             gx = g * params.ln_gain[i]
             # standard layer-norm backward over the feature axis
-            g = inv_std * (gx - gx.mean(-1, keepdims=True)
-                           - xhat * (gx * xhat).mean(-1, keepdims=True))
+            k = gx.shape[-1]
+            g = inv_std * (gx - gx.sum(-1, keepdims=True) / k
+                           - xhat * ((gx * xhat).sum(-1, keepdims=True) / k))
     return grads, g
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction, element-wise over the
+    network's flat buffers."""
     state.step += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for idx, (p, g) in enumerate(zip(params.arrays(), grads.arrays())):
-        m = state.m[idx]
-        v = state.v[idx]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    g, m, v = grads.flat, state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def lr_schedule(base_lr: float, step: int, total_steps: int) -> float:

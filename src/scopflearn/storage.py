@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,13 +75,12 @@ def read_blob(path, magic: bytes):
     arrays = {}
     for spec in meta["arrays"]:
         dtype = np.dtype(spec["dtype"])
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        count = int(math.prod(spec["shape"]))
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(raw):
             raise DataError(f"truncated blob {path}")
-        # the one copy per array: writeable, and it lets the file bytes go
-        arrays[spec["name"]] = np.frombuffer(raw, dtype, count, offset).reshape(
-            spec["shape"]).copy()
+        # a read-only view of the file bytes: the reader makes the one copy
+        arrays[spec["name"]] = np.frombuffer(raw, dtype, count, offset).reshape(spec["shape"])
         offset += nbytes
     return meta, arrays, flags
 
@@ -142,6 +142,7 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 def read_dataset(path) -> Dataset:
     meta, arrays, flags = read_blob(path, DATASET_MAGIC)
+    arrays = {name: a.copy() for name, a in arrays.items()}
     labeled = bool(flags & FLAG_LABELED)
     return Dataset(
         case_name=meta["case"],
@@ -186,7 +187,7 @@ class Checkpoint:
 def _pack_net(prefix: str, params: MlpParams, adam: AdamState, arrays: list) -> dict:
     for name, arr in params.named_arrays():
         arrays.append((f"{prefix}.{name}", arr.astype("<f8")))
-    for i, (m, v) in enumerate(zip(adam.m, adam.v)):
+    for i, (m, v) in enumerate(zip(params.split(adam.m), params.split(adam.v))):
         arrays.append((f"{prefix}.adam_m{i}", m.astype("<f8")))
         arrays.append((f"{prefix}.adam_v{i}", v.astype("<f8")))
     return {
@@ -200,23 +201,26 @@ def _pack_net(prefix: str, params: MlpParams, adam: AdamState, arrays: list) -> 
 
 
 def _unpack_net(prefix: str, spec: dict, arrays: dict) -> tuple[MlpParams, AdamState]:
+    """Copy the stored arrays of one network straight into its flat
+    parameter and Adam moment buffers, one copy per array."""
     params = MlpParams(sizes=tuple(spec["sizes"]), use_layernorm=spec["use_layernorm"])
-    n_layers = len(spec["sizes"]) - 1
-    for i in range(n_layers):
-        params.weights.append(arrays[f"{prefix}.w{i}"])
-        params.biases.append(arrays[f"{prefix}.b{i}"])
-        if params.use_layernorm:
-            params.ln_gain.append(arrays[f"{prefix}.ln_g{i}"])
-            params.ln_offset.append(arrays[f"{prefix}.ln_b{i}"])
-    n_arrays = len(params.arrays())
     adam = AdamState(
-        m=[arrays[f"{prefix}.adam_m{i}"] for i in range(n_arrays)],
-        v=[arrays[f"{prefix}.adam_v{i}"] for i in range(n_arrays)],
+        m=np.empty_like(params.flat),
+        v=np.empty_like(params.flat),
         step=int(spec["adam_step"]),
         beta1=float(spec["adam_beta1"]),
         beta2=float(spec["adam_beta2"]),
         eps=float(spec["adam_eps"]),
     )
+    names, shapes = zip(*params.shapes())
+    for keys, flat in ((names, params.flat),
+                       ([f"adam_m{i}" for i in range(len(names))], adam.m),
+                       ([f"adam_v{i}" for i in range(len(names))], adam.v)):
+        stored = [arrays[f"{prefix}.{key}"] for key in keys]
+        if tuple(a.shape for a in stored) != shapes:
+            raise DataError(f"checkpoint arrays of network {prefix!r} do not match "
+                            f"its layer sizes {spec['sizes']}")
+        np.concatenate(stored, axis=None, out=flat)
     return params, adam
 
 

@@ -126,3 +126,15 @@ def make_ring_mesh(grid_seed, n_bus, n_chords, n_gen, n_load):
     f0 = (factors.ptdf @ factors.load_incidence) @ d0 - (factors.ptdf @ factors.gen_incidence) @ g
     limit = np.maximum(1.3 * np.abs(f0), 0.2)
     return dataclasses.replace(unlimited, flb=-limit, fub=limit)
+
+
+def assert_views_of(flat, arrays):
+    """Each array is a writeable view of the owned buffer flat, the arrays
+    laid end to end in order and covering it."""
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous and flat.flags.owndata
+    offset = 0
+    for a in arrays:
+        assert a.base is flat and a.flags.c_contiguous and a.flags.writeable
+        assert a.ctypes.data == flat.ctypes.data + offset * flat.itemsize
+        offset += a.size
+    assert offset == flat.size

@@ -10,6 +10,10 @@ It also holds the frozen-branch surrogate of the dispatch pipeline
 (``frozen_objective``), whose finite differences check the pipeline's
 vector-Jacobian products.  It reads the pipeline's factor maps and the tape
 of one forward pass, and recomputes everything else itself.
+
+The loop forms of three fused kernels are kept here as byte-for-byte
+references: the masked sigmoid, the bracketing bisection with its own
+temporaries, and Adam applied array by array.
 """
 
 import numpy as np
@@ -216,6 +220,71 @@ def frozen_objective(pipe, z, state, d, c):
         slack += (state.sign_e * (post - bound_e)).sum((-2, -1))
     obj = (np.atleast_2d(c) * gtilde).sum(-1) + pipe.Pi * slack
     return obj, h, gtilde
+
+
+def sigmoid_masked(z):
+    """The logistic function by a boolean-mask scatter, one exp per branch."""
+    z = np.asarray(z, float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def bisection_reference(g, d_total, kg, gamma, ghat, gub, t=25):
+    """The response-signal bisection with an explicit [n_min, n_max] bracket
+    and a survivor mask applied on every iteration; same contract and return
+    values as ``layers.binary_search_batch``."""
+    g = np.atleast_2d(np.asarray(g, float))
+    gub = np.atleast_2d(np.asarray(gub, float))
+    ghat = np.atleast_2d(np.asarray(ghat, float))
+    d_total = np.atleast_1d(np.asarray(d_total, float))
+    kg = np.asarray(kg, int)
+    n_batch, n_gen = g.shape
+    n_cont = kg.size
+    survivors = np.ones((n_cont, n_gen))
+    survivors[np.arange(n_cont), kg] = 0.0
+
+    droop = (np.asarray(gamma, float) * ghat)[:, None, :]
+    g_b = g[:, None, :]
+    gub_b = gub[:, None, :]
+    n = np.full((n_batch, n_cont), 0.5)
+    n_min = np.zeros((n_batch, n_cont))
+    n_max = np.ones((n_batch, n_cont))
+    best_n = n.copy()
+    best_abs = np.full((n_batch, n_cont), np.inf)
+    for _ in range(t):
+        gk = np.minimum(g_b + n[..., None] * droop, gub_b) * survivors
+        e = gk.sum(-1) - d_total[:, None]
+        better = np.abs(e) <= best_abs
+        best_n = np.where(better, n, best_n)
+        best_abs = np.where(better, np.abs(e), best_abs)
+        pos = e > 0.0
+        n_max = np.where(pos, n, n_max)
+        n_min = np.where(~pos, n, n_min)
+        n = 0.5 * (n_max + n_min)
+    gk = np.minimum(g_b + n[..., None] * droop, gub_b) * survivors
+    e = gk.sum(-1) - d_total[:, None]
+    best_n = np.where(np.abs(e) <= best_abs, n, best_n)
+    raw = g_b + best_n[..., None] * droop
+    gk = np.minimum(raw, gub_b) * survivors
+    rho = ((raw > gub_b) & (survivors > 0)).astype(float)
+    return gk, best_n, rho
+
+
+def adam_reference(params, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam update with bias correction, applied array by array to
+    parallel lists of parameter, gradient and moment arrays, in place."""
+    c1 = 1.0 - b1 ** step
+    c2 = 1.0 - b2 ** step
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= b1
+        mi += (1.0 - b1) * g
+        vi *= b2
+        vi += (1.0 - b2) * g * g
+        p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
 
 
 def fd_gradient(fun, x, h=1e-6):

@@ -20,17 +20,29 @@ from scopflearn.sampling import PerturbationConfig, sample_dataset
 from conftest import make_ring_mesh
 from oracles import (
     apr_dispatch,
+    bisection_reference,
     exact_response_signal,
     fd_gradient,
     fd_jacobian,
     frozen_objective,
     reference_slacks,
     rel_err,
+    sigmoid_masked,
 )
 
 
 # ---------------------------------------------------------------------------
 # bound map
+
+def test_sigmoid_matches_masked_formula_bytes():
+    special = np.array([0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, np.nan, -np.nan,
+                        745.0, -745.0, 1e-300, -1e-300])
+    z = np.concatenate([special, np.random.default_rng(20).normal(scale=30.0, size=4000)])
+    for arr in (z, z.reshape(-1, 4), z[0]):
+        out = sigmoid(arr)
+        want = sigmoid_masked(arr)
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
 
 def test_bound_map_midpoint_and_saturation():
     glb = np.array([0.0, 1.0])
@@ -256,6 +268,60 @@ def test_bisection_batch_matches_scalar():
                                rtol=0, atol=2.0 ** -25 * droop.max())
             flags = (g[b] + n_star * droop > gub[b]) & (np.arange(n_gen) != k)
             assert np.array_equal(rho[b, j], flags.astype(float))
+
+
+def _assert_bisection_matches_reference(g, d_total, kg, gamma, ghat, gub, t):
+    got = binary_search_batch(g, d_total, kg, gamma, ghat, gub, t)
+    want = bisection_reference(g, d_total, kg, gamma, ghat, gub, t)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("t", [1, 2, 25, 40, 52])
+def test_bisection_matches_reference_random_boxes(t):
+    # batch sizes from 1, outage sets from empty to all units, some zero
+    # droops, and loads on both sides of what the survivors can cover
+    rng = np.random.default_rng(t)
+    for _ in range(60):
+        n_batch, n_gen = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+        kg = rng.choice(n_gen, int(rng.integers(0, n_gen + 1)), replace=False)
+        glb = rng.uniform(0.0, 0.5, (n_batch, n_gen))
+        gub = glb + rng.uniform(0.0, 2.0, (n_batch, n_gen))
+        g = rng.uniform(glb, gub)
+        gamma = rng.uniform(0.0, 1.2, n_gen) * (rng.random(n_gen) > 0.2)
+        d_total = g.sum(-1) * rng.uniform(0.8, 1.4, n_batch)
+        _assert_bisection_matches_reference(g, d_total, kg, gamma, gub - glb, gub, t)
+
+
+@pytest.mark.parametrize("t", [1, 40])
+def test_bisection_matches_reference_edge_cases(t):
+    g = np.array([[1.0, 1.0, 1.0]])
+    gamma, ghat = np.ones(3), np.full((1, 3), 2.0)
+    gub = np.full((1, 3), 4.0)
+    # unrecoverable outages: the signal runs to 1 (shortfall) or to 0 (surplus)
+    _, nk, _ = _assert_bisection_matches_reference(g, [9.5], [0, 2], gamma, ghat, gub, t)
+    assert np.all(nk == 1.0 - 2.0 ** -(t + 1))
+    _, nk, _ = _assert_bisection_matches_reference(g, [1.5], [0, 2], gamma, ghat, gub, t)
+    assert np.all(nk == 2.0 ** -(t + 1))
+    # exact |e| ties across iterations: e(1/2) = 1/8 and e(1/4) = -1/8
+    _, nk, _ = _assert_bisection_matches_reference(
+        [[0.0, 0.0]], [0.375], [1], np.ones(2), [[1.0, 1.0]], [[2.0, 2.0]], t)
+    if t == 1:
+        assert nk[0, 0] == 0.25
+    # capped units and zero droop: the residual is flat, the last tie wins
+    _assert_bisection_matches_reference(
+        g, [2.5], [1], np.array([1.0, 0.0, 1.0]), ghat, [[1.25, 4.0, 1.25]], t)
+    _, nk, _ = _assert_bisection_matches_reference(g, [3.0], [1], np.zeros(3), ghat, gub, t)
+    assert nk[0, 0] == 1.0 - 2.0 ** -(t + 1)
+    # NaN dispatches: on a survivor, on the outaged unit, everywhere
+    nan_g = np.array([[np.nan, 1.0, 1.0], [1.0, np.nan, 1.0], [np.nan] * 3])
+    _assert_bisection_matches_reference(nan_g, np.full(3, 3.0), [0, 1], gamma,
+                                        np.repeat(ghat, 3, 0), np.repeat(gub, 3, 0), t)
+    # no generator contingencies at all
+    gk, nk, rho = _assert_bisection_matches_reference(g, [3.0], [], gamma, ghat, gub, t)
+    assert gk.shape == (1, 0, 3) and nk.shape == (1, 0) and rho.shape == (1, 0, 3)
 
 
 def test_bisection_rejects_bad_iteration_count(m5_case, m5_factors, m5_cont):

@@ -13,7 +13,8 @@ from scopflearn.nn import (
     mlp_forward,
 )
 
-from oracles import rel_err
+from conftest import assert_views_of
+from oracles import adam_reference, rel_err
 
 
 def flatten(params):
@@ -178,3 +179,64 @@ def test_init_small_final_layer():
     assert np.max(np.abs(params.weights[0])) > 1e-2
     out, _ = mlp_forward(params, np.random.default_rng(14).normal(size=6))
     assert np.max(np.abs(out)) < 0.1
+
+
+@pytest.mark.parametrize("use_ln", [False, True])
+def test_arrays_are_views_of_one_flat_buffer(use_ln):
+    params = init_mlp((4, 6, 5, 2), np.random.default_rng(21), use_layernorm=use_ln)
+    assert [a.shape for _, a in params.named_arrays()] == [s for _, s in params.shapes()]
+    copy = params.copy()
+    _, tape = mlp_forward(params, np.random.default_rng(22).normal(size=(3, 4)))
+    grads, _ = mlp_backward(params, tape, np.ones((3, 2)))
+    for net in (params, copy, grads):
+        assert_views_of(net.flat, net.arrays())
+        per_layer = [net.weights, net.biases] + ([net.ln_gain, net.ln_offset] if use_ln else [])
+        assert_views_of(net.flat, [a for layer in zip(*per_layer) for a in layer])
+    state = AdamState.for_params(params)
+    for moment in (state.m, state.v):
+        assert_views_of(moment, params.split(moment))
+    # copies and gradients share no memory with the network or each other
+    buffers = [params.flat, copy.flat, grads.flat, state.m, state.v]
+    for i, a in enumerate(buffers):
+        for b in buffers[i + 1:]:
+            assert not np.shares_memory(a, b)
+    copy.weights[0][:] = 7.0
+    assert not np.any(params.weights[0] == 7.0)
+
+
+def test_adam_matches_per_array_reference():
+    rng = np.random.default_rng(23)
+    params = init_mlp((5, 8, 8, 3), rng, use_layernorm=True)
+    state = AdamState.for_params(params)
+    ref = params.copy()
+    ref_arrays = ref.arrays()
+    ref_m = [np.zeros_like(a) for a in ref_arrays]
+    ref_v = [np.zeros_like(a) for a in ref_arrays]
+    x = rng.normal(size=(6, 5))
+    for step in range(1, 21):
+        out, tape = mlp_forward(params, x)
+        grads, _ = mlp_backward(params, tape, out - 1.0)
+        adam_step(params, grads, state, lr=1e-2)
+        adam_reference(ref_arrays, grads.arrays(), ref_m, ref_v, step, lr=1e-2)
+        assert state.step == step
+        assert params.flat.tobytes() == ref.flat.tobytes()
+        assert state.m.tobytes() == b"".join(m.tobytes() for m in ref_m)
+        assert state.v.tobytes() == b"".join(v.tobytes() for v in ref_v)
+
+
+def test_adam_sees_writes_through_array_views():
+    params = init_mlp((3, 4, 2), np.random.default_rng(24), use_layernorm=True)
+    state = AdamState.for_params(params)
+    params.weights[0][:] = 0.5
+    params.ln_gain[1][:] = -2.0
+    grads = params.copy()
+    grads.flat[:] = 0.0
+    grads.biases[1][:] = 3.0
+    ref_arrays = [a.copy() for a in params.arrays()]
+    adam_reference(ref_arrays, grads.arrays(), [np.zeros_like(a) for a in ref_arrays],
+                   [np.zeros_like(a) for a in ref_arrays], 1, lr=1e-2)
+    adam_step(params, grads, state, lr=1e-2)
+    for a, b in zip(params.arrays(), ref_arrays):
+        assert a.tobytes() == b.tobytes()
+    assert np.all(params.weights[0] == 0.5) and np.all(params.ln_gain[1] == -2.0)
+    assert np.allclose(params.biases[1], -1e-2)

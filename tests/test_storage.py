@@ -7,16 +7,21 @@ from scopflearn.errors import DataError
 from scopflearn.nn import AdamState, init_mlp
 from scopflearn.sampling import PerturbationConfig, sample_dataset
 from scopflearn.storage import (
+    CHECKPOINT_MAGIC,
     Checkpoint,
     Dataset,
     canonical_json,
     config_hash,
     dataset_from_instances,
     load_checkpoint,
+    read_blob,
     read_dataset,
     save_checkpoint,
+    write_blob,
     write_dataset,
 )
+
+from conftest import assert_views_of
 
 
 def _dataset(case, cont, seed=40, n=10):
@@ -102,7 +107,7 @@ def test_checkpoint_roundtrip(tmp_path):
     padam = AdamState.for_params(primal)
     dadam = AdamState.for_params(dual)
     padam.step = 7
-    padam.m[0][:] = 0.25
+    primal.split(padam.m)[0][:] = 0.25
     ck = Checkpoint(method="pdl", case_name="micro5", dim_x=6, n_gen=3,
                     primal=primal, primal_adam=padam, dual=dual, dual_adam=dadam,
                     trainer={"rho": 0.4, "v_prev": 0.01, "outer": 3, "inner": 10})
@@ -118,12 +123,15 @@ def test_checkpoint_roundtrip(tmp_path):
     for a, b in zip(back.dual.arrays(), dual.arrays()):
         assert np.array_equal(a, b)
     assert back.primal_adam.step == 7
-    assert np.array_equal(back.primal_adam.m[0], padam.m[0])
+    assert np.array_equal(back.primal_adam.m, padam.m)
+    assert np.all(back.primal.split(back.primal_adam.m)[0] == 0.25)
     assert back.trainer["rho"] == 0.4
 
 
 def test_checkpoint_arrays_are_writeable_and_separate(tmp_path):
-    # training resumes in place on loaded arrays: each must own its memory
+    # training resumes in place on loaded arrays: each network's parameters
+    # and Adam moments load into three owned buffers, every named array a
+    # writeable view of its buffer, in order, and no two buffers overlap
     rng = np.random.default_rng(45)
     primal = init_mlp((5, 7, 7, 2), rng, use_layernorm=True)
     dual = init_mlp((5, 7, 1), rng, use_layernorm=False)
@@ -133,14 +141,32 @@ def test_checkpoint_arrays_are_writeable_and_separate(tmp_path):
         primal_adam=AdamState.for_params(primal), dual=dual,
         dual_adam=AdamState.for_params(dual)))
     back = load_checkpoint(path)
-    arrays = [a for params, adam in ((back.primal, back.primal_adam),
-                                     (back.dual, back.dual_adam))
-              for a in params.arrays() + adam.m + adam.v]
-    assert len(arrays) == 3 * (3 * 4 + 2 * 2)
-    for i, a in enumerate(arrays):
-        assert a.flags.writeable and a.flags.owndata
-        for b in arrays[i + 1:]:
+    buffers = []
+    for params, adam in ((back.primal, back.primal_adam), (back.dual, back.dual_adam)):
+        per_layer = [params.weights, params.biases]
+        if params.use_layernorm:
+            per_layer += [params.ln_gain, params.ln_offset]
+        assert_views_of(params.flat, [a for layer in zip(*per_layer) for a in layer])
+        for moment in (adam.m, adam.v):
+            assert_views_of(moment, params.split(moment))
+        buffers += [params.flat, adam.m, adam.v]
+    for i, a in enumerate(buffers):
+        for b in buffers[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def test_checkpoint_rejects_misshapen_array(tmp_path):
+    primal = init_mlp((4, 6, 2), np.random.default_rng(46))
+    adam = AdamState.for_params(primal)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, Checkpoint(method="penalty", case_name="t", dim_x=4, n_gen=2,
+                                     primal=primal, primal_adam=adam))
+    meta, arrays, _ = read_blob(path, CHECKPOINT_MAGIC)
+    arrays["p.b0"] = arrays["p.b0"][:1]   # broadcastable, so it must be refused
+    names = [spec["name"] for spec in meta.pop("arrays")]
+    write_blob(path, CHECKPOINT_MAGIC, meta, [(n, arrays[n]) for n in names])
+    with pytest.raises(DataError, match="do not match"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_byte_identical(tmp_path):
