@@ -144,6 +144,7 @@ def _load_run_config(args) -> RunConfig:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
+    trainer_config = cfg.trainer_config()   # checked before anything is written
     case, factors, cont = _grid_context(cfg.case)
     dataset = read_dataset(cfg.dataset)
     instances = dataset.instances(case)
@@ -167,20 +168,21 @@ def cmd_train(args) -> int:
 
     dim_x = 2 * case.n_gen + case.n_load
 
-    def checkpoint_cb(k, primal, primal_adam, dual, dual_adam, state):
+    def save(name, primal, primal_adam, dual, dual_adam, state):
+        # eval serves the model at the bisection count it was trained with
+        trainer = {**state.as_dict(), "bisect_iters": cfg.bisect_iters}
         ck = Checkpoint(method=cfg.method, case_name=case.name, dim_x=dim_x,
                         n_gen=case.n_gen, primal=primal, primal_adam=primal_adam,
-                        dual=dual, dual_adam=dual_adam, trainer=state.as_dict())
-        save_checkpoint(out_dir / f"checkpoint_k{k:03d}.bin", ck)
+                        dual=dual, dual_adam=dual_adam, trainer=trainer)
+        save_checkpoint(out_dir / name, ck)
+
+    def checkpoint_cb(k, *nets_and_state):
+        save(f"checkpoint_k{k:03d}.bin", *nets_and_state)
 
     result = train(cfg.method, case, factors, cont, instances,
-                   cfg.trainer_config(), g_star=g_star, checkpoint_cb=checkpoint_cb)
-
-    final = Checkpoint(method=cfg.method, case_name=case.name, dim_x=dim_x,
-                       n_gen=case.n_gen, primal=result.primal,
-                       primal_adam=result.primal_adam, dual=result.dual,
-                       dual_adam=result.dual_adam, trainer=result.state.as_dict())
-    save_checkpoint(out_dir / "checkpoint_final.bin", final)
+                   trainer_config, g_star=g_star, checkpoint_cb=checkpoint_cb)
+    save("checkpoint_final.bin", result.primal, result.primal_adam, result.dual,
+         result.dual_adam, result.state)
     write_training_log_csv(result.log, out_dir / "train_log.csv")
 
     summary = {
@@ -202,10 +204,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     case, factors, cont = _grid_context(args.case)
     ckpt = load_checkpoint(args.checkpoint)
+    bisect_iters = ckpt.trainer.get("bisect_iters", 25)
+    if type(bisect_iters) is not int:
+        raise DataError(f"checkpoint bisect_iters must be an integer, got {bisect_iters!r}")
     dataset = read_dataset(args.dataset)
     instances = dataset.instances(case)
     report = evaluate_model(case, factors, cont, ckpt.primal, instances,
-                            obj_star=dataset.obj_star if dataset.labeled else None)
+                            obj_star=dataset.obj_star if dataset.labeled else None,
+                            bisect_iters=bisect_iters)
     if args.out:
         write_report_csv(report, args.out)
     for line in report.summary_lines(mva=args.mva):

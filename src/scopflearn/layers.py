@@ -13,12 +13,12 @@ are frozen from the forward pass, and the converged response signal is
 treated as a constant (no gradient through the bisection root).
 
 Line-outage slacks are formed in blocks of outages of at most SLACK_BLOCK
-elements, so the post-outage flows of a batch never exist all at once.
-Training reads only per-instance reductions of them: the slack total and the
-weight vector of the objective gradient.  The per-outage slack and sign
-arrays, of shape (batch, line outage, line), are kept whole only when a
-caller asks for every slack (the default of ``forward``, for serving and
-reporting) or when they fit one block.
+elements, so the post-outage flows of a batch never exist all at once.  Each
+slack mode keeps only what its callers read: every mode keeps the
+per-instance line-outage slack total; "sums" (training, reference
+evaluations) adds the weight vector of the objective gradient; True (serving,
+reporting) adds the per-outage slacks, of shape (batch, line outage, line),
+and forms no sign patterns; False retrieves no slacks.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ def binary_search_batch(g, d_total, kg, gamma, ghat, gub, t: int = 25):
     g: (B, G); d_total: (B,); ghat, gub: (B, G); kg: contingency indices (K,).
     Returns gk (B, K, G), nk (B, K), rho (B, K, G).
     """
-    if t < 1:
-        raise ConfigError(f"bisection iteration count must be >= 1, got {t}")
+    if not 1 <= t <= 52:
+        raise ConfigError(f"bisection iteration count must be in [1, 52], got {t}")
     g = np.atleast_2d(np.asarray(g, float))
     gub = np.atleast_2d(np.asarray(gub, float))
     ghat = np.atleast_2d(np.asarray(ghat, float))
@@ -217,13 +217,6 @@ def binary_search_vjp(grad_gk: np.ndarray, rho: np.ndarray, kg: np.ndarray) -> n
 # ---------------------------------------------------------------------------
 # full batched pipeline
 
-def _sign_terms(sign: np.ndarray, lodf: np.ndarray):
-    """Reductions of line-outage sign patterns (B, n, n_line) that the
-    objective gradient reads: the sum over the outages (B, n_line), and each
-    outage's sum weighted by its LODF row (B, n)."""
-    return sign.sum(-2), (sign * lodf[None, :, :]).sum(-1)
-
-
 @dataclass
 class PipelineState:
     """Everything the forward pass saved for reporting and backward."""
@@ -245,10 +238,11 @@ class PipelineState:
     eta_e: np.ndarray = None
     sign0: np.ndarray = None
     sign_g: np.ndarray = None
+    # always None: kept only because the benchmark's slack-bytes hook reads it
     sign_e: np.ndarray = None
-    # line-outage slacks reduced over several blocks, in place of eta_e and
-    # sign_e: the per-instance slack total (B,) and the objective-gradient
-    # weights on the base flows (B, n_line)
+    # every slack mode: the per-instance line-outage slack total (B,); "sums"
+    # only: the objective-gradient weights on the base flows (B, n_line);
+    # True only: eta_e and no sign patterns
     eta_e_sum: np.ndarray = None
     weights: np.ndarray = None
 
@@ -278,12 +272,12 @@ class PrimalPipeline:
                 with_slacks: bool | str = True) -> PipelineState:
         """Raw outputs z (B, n_gen) to the full primal point.
 
-        with_slacks: True keeps every slack and sign array, the per-outage
-        line-outage ones included (serving, reporting).  "sums" keeps those
-        only while they fit one block of SLACK_BLOCK elements; beyond that
-        it reduces the line outages block by block to what training reads,
-        the per-instance slack total and objective-gradient weights.  False
-        retrieves no slacks.
+        with_slacks: True keeps every slack, the per-outage line-outage
+        ones included, and no sign patterns (serving, reporting).  "sums"
+        keeps the base-case and generator-outage slacks and signs, reduces
+        the line outages block by block to the per-instance slack total, and
+        forms the objective-gradient weights (training).  False retrieves no
+        slacks.
         """
         z = np.atleast_2d(np.asarray(z, float))
         d = np.atleast_2d(np.asarray(d, float))
@@ -329,39 +323,31 @@ class PrimalPipeline:
     def _attach_slacks(self, state: PipelineState, d: np.ndarray, with_slacks) -> None:
         if with_slacks is not True and with_slacks != "sums":
             raise ConfigError(f"with_slacks must be True, False or 'sums', got {with_slacks!r}")
+        grads = with_slacks == "sums"
         flow_d, f0 = self.base_flows(state.gtilde, d)
         state.f0 = f0
-        state.eta0, state.sign0 = self.slack_and_sign(f0)
+        state.eta0, state.sign0 = self.slack_and_sign(f0, grads)
         fg = flow_d[:, None, :] - state.gk @ self.phi_gen.T
-        state.eta_g, state.sign_g = self.slack_and_sign(fg)
+        state.eta_g, state.sign_g = self.slack_and_sign(fg, grads)
         batch, n_line = f0.shape
-        n_ke = self.ke.size
-        if not n_ke:
-            state.eta_e = np.zeros((batch, 0, n_line))
-            state.sign_e = np.zeros_like(state.eta_e)
-        for sl, eta, sign in self.line_outage_blocks(f0):
-            if eta.shape[1] == n_ke:
-                # one block, within SLACK_BLOCK: its arrays are kept, uncopied
-                state.eta_e, state.sign_e = eta, sign
-            elif with_slacks == "sums":
-                if sl.start == 0:
-                    total = np.zeros(batch)
-                    sign_sum = np.zeros(f0.shape)
-                    extra = np.empty((batch, n_ke))
-                total += eta.sum((-2, -1))
-                block_sum, extra[:, sl] = _sign_terms(sign, self.lodf_ke[sl])
-                sign_sum += block_sum   # integer-valued: exact in any order
+        state.eta_e_sum = np.zeros(batch)
+        if grads:
+            w = state.sign0.copy()
+            extra = np.empty((batch, self.ke.size))
+        else:
+            state.eta_e = np.empty((self.ke.size, batch, n_line)).transpose(1, 0, 2)
+        for sl, eta, sign in self.line_outage_blocks(f0, signs=grads):
+            state.eta_e_sum += eta.sum((-2, -1))
+            if grads:
+                w += sign.sum(-2)   # integer-valued: exact in any order
+                extra[:, sl] = (sign * self.lodf_ke[sl]).sum(-1)
             else:
-                if sl.start == 0:
-                    # outage-major, the layout a single block comes out in,
-                    # so the slack sums match the one-block path bit for bit
-                    state.eta_e = np.empty((n_ke, batch, n_line)).transpose(1, 0, 2)
-                    state.sign_e = np.empty_like(state.eta_e)
                 state.eta_e[:, sl] = eta
-                state.sign_e[:, sl] = sign
-        if state.eta_e is None:
-            state.eta_e_sum = total
-            state.weights = self._weights(state.sign0, sign_sum, extra)
+        if grads:
+            # the LODF term on the outaged columns goes last, so the weights
+            # do not depend on the blocking
+            w[:, self.ke] += extra
+            state.weights = w
 
     def line_outage_blocks(self, f0: np.ndarray, signs: bool = True):
         """Thermal slacks of the screened line outages at base flows f0
@@ -385,14 +371,6 @@ class PrimalPipeline:
                 sign[:, rows, ke] = 0.0
             yield sl, eta, sign
 
-    def _weights(self, sign0, sign_sum, extra) -> np.ndarray:
-        """Weights of the slack penalty on the base flows: the base-case and
-        summed line-outage sign patterns, plus the LODF term on the outaged
-        columns, added last so the weights do not depend on the blocking."""
-        w = sign0 + sign_sum
-        w[:, self.ke] += extra
-        return w
-
     def slack_and_sign(self, f: np.ndarray, signs: bool = True):
         """Thermal slacks max(0, f - fub, flb - f) of flows f, and their sign
         pattern (+1 over the upper limit, -1 under the lower, else 0; None
@@ -409,8 +387,7 @@ class PrimalPipeline:
         return eta, sign
 
     def slack_total(self, state: PipelineState) -> np.ndarray:
-        line = state.eta_e_sum if state.eta_e is None else state.eta_e.sum((-2, -1))
-        return state.eta0.sum(-1) + state.eta_g.sum((-2, -1)) + line
+        return state.eta0.sum(-1) + state.eta_g.sum((-2, -1)) + state.eta_e_sum
 
     def objective(self, state: PipelineState, c: np.ndarray) -> np.ndarray:
         """Per-instance cost plus penalized slacks (requires slacks attached)."""
@@ -422,12 +399,12 @@ class PrimalPipeline:
 
         Line-contingency slacks depend on the base flows both directly and
         through the redistributed flow of the outaged line, so their sign
-        patterns accumulate an extra term on the outaged-line column.
+        patterns accumulate an extra term on the outaged-line column.  Needs
+        a state formed with with_slacks="sums".
         """
-        w = state.weights
-        if w is None:
-            w = self._weights(state.sign0, *_sign_terms(state.sign_e, self.lodf_ke))
-        grad_gtilde = np.atleast_2d(c) - self.Pi * (w @ self.phi_gen)
+        if state.weights is None:
+            raise ConfigError('objective gradients need slacks formed with with_slacks="sums"')
+        grad_gtilde = np.atleast_2d(c) - self.Pi * (state.weights @ self.phi_gen)
         grad_gk = -self.Pi * (state.sign_g @ self.phi_gen)
         return grad_gtilde, grad_gk
 

@@ -64,9 +64,12 @@ class TrainerConfig:
         if not self.alpha > 1:
             raise ConfigError(f"alpha must exceed 1, got {self.alpha}")
         for name in ("K", "L", "batch", "rho0", "rho_max", "dual_loss_rho",
-                     "obj_scale", "lr", "bisect_iters"):
+                     "obj_scale", "lr"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        # layers.binary_search_batch's precondition
+        if not 1 <= self.bisect_iters <= 52:
+            raise ConfigError(f"bisect_iters must be in [1, 52], got {self.bisect_iters}")
 
     @property
     def total_steps(self) -> int:
@@ -165,9 +168,10 @@ def update_penalty(rho: float, v: float, v_prev: float, config: TrainerConfig) -
     return rho
 
 
-def _sweep(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked"):
-    """One chunked pass of the primal network over the dataset: the balance
-    residuals h (n, |Kg|), their infinity norm v_k and the mean objective."""
+def max_violation(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked"):
+    """The evaluation pass: one chunked pass of the primal network over the
+    dataset.  Returns the balance residuals h (n, |Kg|), the worst of them
+    v_k (infinity norm) and the mean objective."""
     h = np.empty((data.n, pipe.kg.size))
     total = 0.0
     for lo in range(0, data.n, EVAL_CHUNK):
@@ -180,12 +184,6 @@ def _sweep(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked"):
     if not (np.isfinite(h).all() and np.isfinite(total)):
         raise DivergenceError("non-finite balance residual or objective in the evaluation pass")
     return h, float(np.abs(h).max()) if h.size else 0.0, total / data.n
-
-
-def max_violation(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked") -> float:
-    """Worst contingency balance residual of the current primal network over
-    the dataset (infinity norm): the v_k of one evaluation pass."""
-    return _sweep(pipe, primal, data)[1]
 
 
 def _dual_outputs(dual: MlpParams, data: "_Stacked", cont: ContingencySet) -> np.ndarray:
@@ -324,7 +322,7 @@ def _train(method: str, case: GridCase, factors: LinearFactors, cont: Contingenc
 
         rho, v_prev = state.rho, state.v_prev
         if self_supervised:
-            h, v_k, mean_objective = _sweep(pipe, primal, data)
+            h, v_k, mean_objective = max_violation(pipe, primal, data)
             outer_log.append({"outer_k": k, "rho": state.rho, "v_k": v_k,
                               "mean_objective": mean_objective})
             rho, v_prev = update_penalty(state.rho, v_k, state.v_prev, config), v_k

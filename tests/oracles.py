@@ -177,6 +177,13 @@ def full_objective(case, kg, ke, g, d, c, gub, tol=1e-6, t_unused=None):
     return float(np.dot(c, g)) + case.Pi * (eta0.sum() + eta_g.sum() + eta_e.sum())
 
 
+def _frozen_slack(pipe, f, f_tape):
+    """Thermal slacks of flows f on the side of the limit that the tape flows
+    f_tape violate: linear in f, and zero where f_tape is within limits."""
+    over, under = f_tape > pipe.fub, f_tape < pipe.flb
+    return np.where(over, f - pipe.fub, 0.0) + np.where(under, pipe.flb - f, 0.0)
+
+
 def frozen_objective(pipe, z, state, d, c):
     """Objective and residuals re-evaluated at new raw outputs z with every
     branch decision frozen at the tape point of ``state``: same repair
@@ -209,15 +216,16 @@ def frozen_objective(pipe, z, state, d, c):
     flow_d = d @ pipe.phi_load.T
     f0 = flow_d - gtilde @ pipe.phi_gen.T
     fg = flow_d[:, None, :] - gk @ pipe.phi_gen.T
-    # frozen-sign slack: eta = sign * (f - active bound)
-    bound0 = np.where(state.sign0 > 0, pipe.fub, pipe.flb)
-    slack = (state.sign0 * (f0 - bound0)).sum(-1)
-    bound_g = np.where(state.sign_g > 0, pipe.fub, pipe.flb)
-    slack += (state.sign_g * (fg - bound_g)).sum((-2, -1))
+    # frozen-sign slack: eta = sign * (f - active bound), with the signs of
+    # the tape point's own flows
+    slack = _frozen_slack(pipe, f0, state.f0).sum(-1)
+    slack += _frozen_slack(pipe, fg, flow_d[:, None, :] - state.gk @ pipe.phi_gen.T).sum((-2, -1))
     if pipe.ke.size:
         post = f0[:, None, :] + f0[:, pipe.ke, None] * pipe.lodf_ke[None, :, :]
-        bound_e = np.where(state.sign_e > 0, pipe.fub, pipe.flb)
-        slack += (state.sign_e * (post - bound_e)).sum((-2, -1))
+        post_tape = state.f0[:, None, :] + state.f0[:, pipe.ke, None] * pipe.lodf_ke[None, :, :]
+        eta_e = _frozen_slack(pipe, post, post_tape)
+        eta_e[:, np.arange(pipe.ke.size), pipe.ke] = 0.0   # the outaged line carries no flow
+        slack += eta_e.sum((-2, -1))
     obj = (np.atleast_2d(c) * gtilde).sum(-1) + pipe.Pi * slack
     return obj, h, gtilde
 

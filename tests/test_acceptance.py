@@ -169,7 +169,7 @@ def test_criterion_3_gradient_fidelity(grid):
         found = 0
         for _ in range(120):
             z = rng.normal(scale=1.5, size=case.n_gen)
-            state = pipe.forward(z, inst.d, inst.gub)
+            state = pipe.forward(z, inst.d, inst.gub, with_slacks="sums")
             if _branch_margin(pipe, state) > 1e-3:
                 points.append((inst, z, state))
                 found += 1

@@ -5,12 +5,13 @@ import time
 import numpy as np
 import pytest
 
+from scopflearn import cli
 from scopflearn.cases import triangle3
 from scopflearn.cli import main
 from scopflearn.grid import build_factors, save_case, screen_contingencies
 from scopflearn.layers import PrimalPipeline
 from scopflearn.nn import mlp_forward
-from scopflearn.storage import load_checkpoint, read_dataset
+from scopflearn.storage import load_checkpoint, read_dataset, save_checkpoint
 
 from oracles import response_residuals
 
@@ -198,6 +199,47 @@ def test_train_unknown_config_key(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"not_a_key": 1}))
     assert run(["train", "--config", str(cfg_path)]) == 2
+
+
+def test_train_rejects_bisection_count_before_writing(tmp_path):
+    data = tmp_path / "t.bin"
+    assert run(["gen", "--case", "triangle3", "--n", "4", "--seed", "0",
+                "--out", str(data)]) == 0
+    out_dir = tmp_path / "run"
+    assert run(["train", "--case", "triangle3", "--method", "penalty",
+                "--dataset", str(data), "--out-dir", str(out_dir),
+                "-K", "1", "-L", "2", "--batch", "2", "--bisect-iters", "53"]) == 2
+    assert not out_dir.exists()
+
+
+def test_eval_serves_at_trained_bisection_count(tmp_path, monkeypatch):
+    data = tmp_path / "t.bin"
+    assert run(["gen", "--case", "triangle3", "--n", "4", "--seed", "0",
+                "--out", str(data)]) == 0
+    out_dir = tmp_path / "run"
+    assert run(["train", "--case", "triangle3", "--method", "penalty",
+                "--dataset", str(data), "--out-dir", str(out_dir),
+                "-K", "1", "-L", "2", "--batch", "2", "--bisect-iters", "8"]) == 0
+    for name in ("checkpoint_k001.bin", "checkpoint_final.bin"):
+        assert load_checkpoint(out_dir / name).trainer["bisect_iters"] == 8
+    seen = []
+    original = cli.evaluate_model
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("bisect_iters"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_model", spy)
+    assert run(["eval", "--case", "triangle3", "--checkpoint",
+                str(out_dir / "checkpoint_final.bin"), "--dataset", str(data)]) == 0
+    assert seen == [8]
+    # a count that is not an integer is a data error, not a traceback
+    ck = load_checkpoint(out_dir / "checkpoint_final.bin")
+    ck.trainer["bisect_iters"] = 8.0
+    save_checkpoint(tmp_path / "bad.bin", ck)
+    assert run(["eval", "--case", "triangle3", "--checkpoint", str(tmp_path / "bad.bin"),
+                "--dataset", str(data)]) == 3
+    assert seen == [8]
 
 
 def test_eval_dimension_mismatch(tmp_path, capsys):

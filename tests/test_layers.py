@@ -325,12 +325,14 @@ def test_bisection_matches_reference_edge_cases(t):
 
 
 def test_bisection_rejects_bad_iteration_count(m5_case, m5_factors, m5_cont):
-    with pytest.raises(ConfigError):
-        _bisect_one(np.ones(2), 1.0, 0, np.ones(2), np.ones(2), np.full(2, 2.0), t=0)
-    # through the pipeline's dispatch path too: t=0 is not its default count
+    # at t > 52 the step would fall below the last bit of n in [0.5, 1)
     pipe = PrimalPipeline(m5_case, m5_factors, m5_cont)
-    with pytest.raises(ConfigError):
-        pipe.evaluate_dispatch(m5_case.glb, m5_case.d0, m5_case.gub0, t=0)
+    for t in (0, 53):
+        with pytest.raises(ConfigError):
+            _bisect_one(np.ones(2), 1.0, 0, np.ones(2), np.ones(2), np.full(2, 2.0), t=t)
+        # through the pipeline's dispatch path too: t is not its default count
+        with pytest.raises(ConfigError):
+            pipe.evaluate_dispatch(m5_case.glb, m5_case.d0, m5_case.gub0, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +348,7 @@ def _random_nonboundary_points(pipe, case, cont, n_points, seed=7):
     for inst in instances:
         for _ in range(50):
             z = rng.normal(scale=1.5, size=case.n_gen)
-            state = pipe.forward(z, inst.d, inst.gub)
+            state = pipe.forward(z, inst.d, inst.gub, with_slacks="sums")
             margin = min(
                 abs(state.repair_ctx.s - state.d_total).min(),
                 _cap_margin(state, pipe),
@@ -462,62 +464,65 @@ def _mesh_request(case, n_rows, seed):
     return pipe, z, d, gub, c
 
 
-def _per_outage_reference(pipe, state):
-    """Line-outage slacks, signs and objective-gradient weights from the
-    whole (B, n_ke, n_line) post-outage flow array at once."""
-    f0 = state.f0
+def _per_outage_reference(pipe, f0):
+    """Line-outage slacks, signs and objective-gradient weights at base flows
+    f0 from the whole (B, n_ke, n_line) post-outage flow array at once."""
+    def slack_and_sign(f):
+        over, under = f - pipe.fub, pipe.flb - f
+        return (np.maximum(0.0, np.maximum(over, under)),
+                np.where(over > 0, 1.0, 0.0) + np.where(under > 0, -1.0, 0.0))
+
     post = f0[:, None, :] + f0[:, pipe.ke, None] * pipe.lodf_ke[None, :, :]
-    over, under = post - pipe.fub, pipe.flb - post
-    eta = np.maximum(0.0, np.maximum(over, under))
-    sign = np.where(over > 0, 1.0, 0.0) + np.where(under > 0, -1.0, 0.0)
+    eta, sign = slack_and_sign(post)
     rows = np.arange(pipe.ke.size)
     eta[:, rows, pipe.ke] = 0.0
     sign[:, rows, pipe.ke] = 0.0
-    w = state.sign0.copy()
+    w = slack_and_sign(f0)[1]
     w += sign.sum(-2)
     w[:, pipe.ke] += (sign * pipe.lodf_ke[None, :, :]).sum(-1)
     return eta, sign, w
+
+
+def _check_slack_modes(pipe, z, d, gub, c):
+    """Serving and training slacks of one request against the per-outage
+    reference; returns the reference slacks and signs."""
+    full = pipe.forward(z, d, gub)
+    sums = pipe.forward(z, d, gub, with_slacks="sums")
+    assert full.f0.tobytes() == sums.f0.tobytes()
+    eta_ref, sign_ref, w_ref = _per_outage_reference(pipe, full.f0)
+    # serving: every per-outage slack, and no sign pattern to form
+    assert full.eta_e.shape == eta_ref.shape and full.eta_e.tobytes() == eta_ref.tobytes()
+    assert all(getattr(full, name) is None
+               for name in ("sign0", "sign_g", "sign_e", "weights"))
+    with pytest.raises(ConfigError):
+        pipe.objective_grads(full, c)
+    # training: the slack total and the gradient weights, no per-outage array
+    assert sums.eta_e is None and sums.sign_e is None
+    assert sums.weights.tobytes() == w_ref.tobytes()
+    grad_gtilde, _ = pipe.objective_grads(sums, c)
+    assert np.array_equal(grad_gtilde, c - pipe.Pi * (w_ref @ pipe.phi_gen))
+    # both modes sum the blocks in the same order
+    assert np.allclose(sums.eta_e_sum, eta_ref.sum((-2, -1)), rtol=1e-12, atol=0)
+    assert full.eta_e_sum.tobytes() == sums.eta_e_sum.tobytes()
+    assert np.array_equal(pipe.objective(full, c), pipe.objective(sums, c))
+    return eta_ref, sign_ref
 
 
 def test_blocked_line_slacks_match_per_outage_arrays(monkeypatch):
     case = make_ring_mesh(grid_seed=3, n_bus=40, n_chords=15, n_gen=5, n_load=20)
     pipe, z, d, gub, c = _mesh_request(case, 6, seed=5)
     assert pipe.ke.size == case.n_line == 55
-    one = pipe.forward(z, d, gub)
+    f0 = pipe.forward(z, d, gub).f0
     # 6 x 55 x 55 elements fit the default budget: one block
-    assert len(list(pipe.line_outage_blocks(one.f0))) == 1
-    eta_ref, sign_ref, w_ref = _per_outage_reference(pipe, one)
-    assert np.array_equal(one.eta_e, eta_ref) and np.array_equal(one.sign_e, sign_ref)
-    total_ref = one.eta0.sum(-1) + one.eta_g.sum((-2, -1)) + eta_ref.sum((-2, -1))
-    obj_ref = (c * one.gtilde).sum(-1) + case.Pi * total_ref
-    grads_ref = pipe.objective_grads(one, c)
-    assert one.weights is None
-    assert np.array_equal(grads_ref[0], c - case.Pi * (w_ref @ pipe.phi_gen))
-    assert np.array_equal(pipe.objective(one, c), obj_ref)
-
-    sums = pipe.forward(z, d, gub, with_slacks="sums")
-    assert np.array_equal(sums.eta_e, eta_ref) and sums.weights is None
-    assert np.array_equal(pipe.objective(sums, c), obj_ref)
-    for got, want in zip(pipe.objective_grads(sums, c), grads_ref):
-        assert np.array_equal(got, want)
-
+    assert len(list(pipe.line_outage_blocks(f0))) == 1
+    _check_slack_modes(pipe, z, d, gub, c)
     # ten outages per block: six blocks, the last one short
     monkeypatch.setattr(layers, "SLACK_BLOCK", 6 * 55 * 10)
-    blocks = list(pipe.line_outage_blocks(one.f0))
+    blocks = list(pipe.line_outage_blocks(f0))
     assert len(blocks) == 6 and blocks[-1][1].shape[1] == 5
+    eta_ref, sign_ref = _check_slack_modes(pipe, z, d, gub, c)
     last = blocks[-1][0]
     assert eta_ref[:, last].sum() > 0 and np.abs(sign_ref[:, last]).sum() > 0
-    sums = pipe.forward(z, d, gub, with_slacks="sums")
-    assert sums.eta_e is None and sums.sign_e is None
-    assert np.array_equal(sums.weights, w_ref)
-    assert np.allclose(sums.eta_e_sum, eta_ref.sum((-2, -1)), rtol=1e-12, atol=0)
-    assert np.allclose(pipe.objective(sums, c), obj_ref, rtol=1e-12, atol=0)
-    full = pipe.forward(z, d, gub)
-    assert np.array_equal(full.eta_e, eta_ref) and np.array_equal(full.sign_e, sign_ref)
-    assert np.array_equal(pipe.objective(full, c), obj_ref)
-    for st in (sums, full):
-        for got, want in zip(pipe.objective_grads(st, c), grads_ref):
-            assert np.array_equal(got, want)
 
 
 def test_line_slacks_without_line_outages():
@@ -528,14 +533,10 @@ def test_line_slacks_without_line_outages():
                     fub=[0.3, 0.3], load_bus=[1], d0=[1.2], slack_bus=0)
     pipe, z, d, gub, c = _mesh_request(case, 4, seed=2)
     assert pipe.ke.size == 0
+    eta_ref, _ = _check_slack_modes(pipe, z, d, gub, c)
+    assert eta_ref.shape == (4, 0, 2)
     full = pipe.forward(z, d, gub)
-    sums = pipe.forward(z, d, gub, with_slacks="sums")
-    for st in (full, sums):
-        assert st.eta_e.shape == st.sign_e.shape == (4, 0, 2)
-    assert full.eta0.sum() > 0
-    assert np.array_equal(pipe.objective(sums, c), pipe.objective(full, c))
-    for got, want in zip(pipe.objective_grads(sums, c), pipe.objective_grads(full, c)):
-        assert np.array_equal(got, want)
+    assert full.eta0.sum() > 0 and not full.eta_e_sum.any()
 
 
 def test_slack_mode_is_checked(m5_case, m5_factors, m5_cont):

@@ -193,7 +193,8 @@ def test_objective_and_residuals(m5_case):
     # no dispatch, one base-case slack of 0.1: the objective is the penalty
     zero = dataclasses.replace(st, gtilde=np.zeros((1, 3)),
                                eta0=np.array([[0.1, 0, 0, 0, 0.0]]),
-                               eta_g=np.zeros_like(st.eta_g), eta_e=np.zeros_like(st.eta_e))
+                               eta_g=np.zeros_like(st.eta_g), eta_e=np.zeros_like(st.eta_e),
+                               eta_e_sum=np.zeros(1))
     assert np.isclose(pipe.objective(zero, c)[0], 1500 * 0.1)
 
 

@@ -57,13 +57,18 @@ def test_config_validation():
         TrainerConfig(alpha=0.5)
     with pytest.raises(ConfigError):
         TrainerConfig(L=0)
+    # past 52 iterations the bisection step falls below the signal's last bit
+    for t in (0, 53):
+        with pytest.raises(ConfigError):
+            TrainerConfig(bisect_iters=t)
+    assert TrainerConfig(bisect_iters=52).bisect_iters == 52
     assert TrainerConfig().total_steps == 80_000
 
 
 def test_primal_loss_arithmetic(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
     pipe = PrimalPipeline(tri_case_mod, tri_factors_mod, tri_cont_mod)
     inst = tri_data[0]
-    state = pipe.forward(np.zeros((1, 2)), inst.d[None], inst.gub[None])
+    state = pipe.forward(np.zeros((1, 2)), inst.d[None], inst.gub[None], with_slacks="sums")
     obj = pipe.objective(state, inst.c)[0]
     lam = np.zeros(tri_cont_mod.n_gen)
     loss, _, _ = primal_loss_terms(pipe, state, inst.c[None], lam[None], 0.1, 1e5)
@@ -104,7 +109,7 @@ def test_max_violation_matches_reference_response(tri_case_mod, tri_factors_mod,
     from scopflearn.training import build_networks
     data = stack_instances(tri_data)
     primal, _ = build_networks(tri_case_mod, tri_cont_mod, data.x.shape[1], 0, False)
-    v = max_violation(pipe, primal, data)
+    v = max_violation(pipe, primal, data)[1]
     z, _ = mlp_forward(primal, data.x)
     st = pipe.forward(z, data.d, data.gub, with_slacks=False)
     for i in range(data.n):
@@ -193,7 +198,7 @@ def test_outer_log_matches_fresh_evaluation(trainer, tri_case_mod, tri_factors_m
     data = stack_instances(tri_data)
     assert len(res.outer_log) == len(primals) == cfg.K
     for row, primal in zip(res.outer_log, primals):
-        assert row["v_k"] == max_violation(pipe, primal, data)
+        assert row["v_k"] == max_violation(pipe, primal, data)[1]
         z, _ = mlp_forward(primal, data.x)
         st = pipe.forward(z, data.d, data.gub)
         assert row["mean_objective"] == pipe.objective(st, data.c).mean()
@@ -286,7 +291,8 @@ def test_full_pipeline_param_gradient(tri_case_mod, tri_factors_mod, tri_cont_mo
     lam = np.array([[0.2, -0.1], [0.05, 0.3]])[:, :tri_cont_mod.n_gen]
     rho = 1.7
 
-    z, tape, st = (lambda out: (out[0], out[1], pipe.forward(out[0], data.d, data.gub)))(
+    z, tape, st = (lambda out: (out[0], out[1], pipe.forward(out[0], data.d, data.gub,
+                                                                 with_slacks="sums")))(
         mlp_forward(primal, data.x))
     loss_vec, g_t, g_k = primal_loss_terms(pipe, st, data.c, lam, rho, 1e5)
     grad_z = pipe.backward(st, g_t, g_k) / 2
