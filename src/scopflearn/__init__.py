@@ -34,7 +34,6 @@ from .training import (
     TrainerConfig,
     TrainerState,
     TrainResult,
-    dual_loss,
     max_violation,
     train,
     train_ld,

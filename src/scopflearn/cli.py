@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,34 +34,9 @@ from .storage import (
 from .training import METHODS, TrainerConfig, train
 
 
-@dataclass
-class RunConfig:
-    """Training run description; every field can come from a JSON config file
-    and be overridden by a CLI flag."""
-
-    case: str = "micro5"
-    method: str = "pdl"
-    dataset: str = ""
-    out_dir: str = "run"
-    K: int = 20
-    L: int = 2000
-    batch: int = 8
-    rho0: float = 0.1
-    rho_max: float = 1e8
-    tau: float = 0.9
-    alpha: float = 2.0
-    dual_loss_rho: float = 0.1
-    obj_scale: float = 1e5
-    lr: float = 1e-4
-    seed: int = 0
-    bisect_iters: int = 25
-
-    def trainer_config(self) -> TrainerConfig:
-        return TrainerConfig(K=self.K, L=self.L, batch=self.batch, rho0=self.rho0,
-                             rho_max=self.rho_max, tau=self.tau, alpha=self.alpha,
-                             dual_loss_rho=self.dual_loss_rho,
-                             obj_scale=self.obj_scale, lr=self.lr, seed=self.seed,
-                             bisect_iters=self.bisect_iters)
+# the run keys besides TrainerConfig's fields; a config file and the train
+# flags set both, a flag winning
+RUN_DEFAULTS = {"case": "micro5", "method": "pdl", "dataset": "", "out_dir": "run"}
 
 
 def resolve_case(spec: str) -> GridCase:
@@ -119,8 +94,10 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _load_run_config(args) -> RunConfig:
-    values = {f.name: f.default for f in fields(RunConfig)}
+def _load_run_config(args) -> tuple[dict, TrainerConfig]:
+    """The run's keys and its trainer settings, checked before anything is
+    written."""
+    values = {**RUN_DEFAULTS, **{f.name: f.default for f in fields(TrainerConfig)}}
     if args.config:
         try:
             file_values = json.loads(Path(args.config).read_text())
@@ -134,44 +111,42 @@ def _load_run_config(args) -> RunConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    cfg = RunConfig(**values)
-    if cfg.method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
-    if not cfg.dataset:
+    if values["method"] not in METHODS:
+        raise ConfigError(f"method must be one of {METHODS}, got {values['method']!r}")
+    if not values["dataset"]:
         raise ConfigError("a training dataset is required (--dataset)")
-    return cfg
+    return values, TrainerConfig(**{f.name: values[f.name] for f in fields(TrainerConfig)})
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
-    trainer_config = cfg.trainer_config()   # checked before anything is written
-    case, factors, cont = _grid_context(cfg.case)
-    dataset = read_dataset(cfg.dataset)
+    cfg, trainer_config = _load_run_config(args)
+    method = cfg["method"]
+    case, factors, cont = _grid_context(cfg["case"])
+    dataset = read_dataset(cfg["dataset"])
     instances = dataset.instances(case)
     g_star = None
-    if cfg.method in ("naive", "ld"):
+    if method in ("naive", "ld"):
         if not dataset.labeled:
             raise DataError(
-                f"method {cfg.method!r} needs reference labels; run "
-                f"`scopflearn oracle --case {cfg.case} --dataset {cfg.dataset}` first")
+                f"method {method!r} needs reference labels; run "
+                f"`scopflearn oracle --case {cfg['case']} --dataset {cfg['dataset']}` first")
         keep = np.isfinite(dataset.obj_star)
         if not keep.all():
             instances = [inst for inst, ok in zip(instances, keep) if ok]
             print(f"skipping {int((~keep).sum())} unlabeled (infeasible) records")
         g_star = dataset.g_star[keep]
 
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    effective = asdict(cfg)
-    effective["config_hash"] = config_hash(effective)
+    effective = {**cfg, "config_hash": config_hash(cfg)}
     (out_dir / "config.json").write_text(json.dumps(effective, indent=2, sort_keys=True) + "\n")
 
     dim_x = 2 * case.n_gen + case.n_load
 
     def save(name, primal, primal_adam, dual, dual_adam, state):
         # eval serves the model at the bisection count it was trained with
-        trainer = {**state.as_dict(), "bisect_iters": cfg.bisect_iters}
-        ck = Checkpoint(method=cfg.method, case_name=case.name, dim_x=dim_x,
+        trainer = {**state.as_dict(), "bisect_iters": trainer_config.bisect_iters}
+        ck = Checkpoint(method=method, case_name=case.name, dim_x=dim_x,
                         n_gen=case.n_gen, primal=primal, primal_adam=primal_adam,
                         dual=dual, dual_adam=dual_adam, trainer=trainer)
         save_checkpoint(out_dir / name, ck)
@@ -179,14 +154,14 @@ def cmd_train(args) -> int:
     def checkpoint_cb(k, *nets_and_state):
         save(f"checkpoint_k{k:03d}.bin", *nets_and_state)
 
-    result = train(cfg.method, case, factors, cont, instances,
+    result = train(method, case, factors, cont, instances,
                    trainer_config, g_star=g_star, checkpoint_cb=checkpoint_cb)
     save("checkpoint_final.bin", result.primal, result.primal_adam, result.dual,
          result.dual_adam, result.state)
     write_training_log_csv(result.log, out_dir / "train_log.csv")
 
     summary = {
-        "method": cfg.method,
+        "method": method,
         "steps": len(result.log),
         "wall_s": result.wall_s,
         "final_rho": result.state.rho,
@@ -196,7 +171,7 @@ def cmd_train(args) -> int:
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     v = summary["final_max_violation"]
     v_text = f"{v:.3e} p.u." if v is not None else "n/a"
-    print(f"{cfg.method}: {len(result.log)} steps in {result.wall_s:.1f}s, "
+    print(f"{method}: {len(result.log)} steps in {result.wall_s:.1f}s, "
           f"final max |balance residual| {v_text}, checkpoints in {out_dir}")
     return 0
 
@@ -293,23 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
     orc.set_defaults(func=cmd_oracle)
 
     tr = sub.add_parser("train", help="train one of the four methods")
-    tr.add_argument("--config", default=None, help="JSON file with RunConfig keys")
+    tr.add_argument("--config", default=None,
+                    help="JSON file with the run keys (case, method, dataset, out_dir) "
+                         "and TrainerConfig's fields")
     tr.add_argument("--case", default=None)
     tr.add_argument("--method", default=None, choices=METHODS)
     tr.add_argument("--dataset", default=None)
     tr.add_argument("--out-dir", dest="out_dir", default=None)
-    tr.add_argument("-K", type=int, default=None, dest="K", help="outer iterations")
-    tr.add_argument("-L", type=int, default=None, dest="L", help="inner iterations")
-    tr.add_argument("--batch", type=int, default=None)
-    tr.add_argument("--rho0", type=float, default=None)
-    tr.add_argument("--rho-max", dest="rho_max", type=float, default=None)
-    tr.add_argument("--tau", type=float, default=None)
-    tr.add_argument("--alpha", type=float, default=None)
-    tr.add_argument("--dual-loss-rho", dest="dual_loss_rho", type=float, default=None)
-    tr.add_argument("--obj-scale", dest="obj_scale", type=float, default=None)
-    tr.add_argument("--lr", type=float, default=None)
-    tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--bisect-iters", dest="bisect_iters", type=int, default=None)
+    for f in fields(TrainerConfig):
+        flag = "-" + f.name if f.name in ("K", "L") else "--" + f.name.replace("_", "-")
+        tr.add_argument(flag, dest=f.name, type=type(f.default), default=None,
+                        help=f"TrainerConfig.{f.name} (default {f.default})")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -2,11 +2,11 @@
 
 The DC flow convention used throughout is the withdrawal form
 
-    f = PTDF @ (d_bus - B @ g)
+    f = d @ phi_load' - g @ phi_gen'
 
-where ``d_bus`` aggregates load units onto buses and ``B`` is the
-generator-bus incidence matrix.  The PTDF column of the slack bus is
-identically zero.
+where phi_gen and phi_load, the PTDF columns of the generator and load
+buses, are held once with one LODF row per line outage that keeps the
+network connected.  The PTDF column of the slack bus is identically zero.
 """
 
 from __future__ import annotations
@@ -117,22 +117,22 @@ class GridCase:
 
 @dataclass(frozen=True)
 class LinearFactors:
-    """PTDF/LODF matrices plus incidence maps derived from a GridCase.
+    """Flow maps ``phi_gen`` (n_line, n_gen) and ``phi_load`` (n_line, n_load),
+    and line-outage factors.
 
-    ``lodf[:, k]`` redistributes the pre-outage flow of line k onto the other
-    lines; its diagonal is -1 so post-outage flow on the outaged line is zero.
-    ``islanding[k]`` marks bridge lines whose outage would split the network;
-    their LODF columns are invalid and zeroed.
+    ``islanding[k]`` marks bridge lines, whose outage would split the network.
+    ``lodf`` has one C-contiguous row per other line, in line order: row j
+    spreads the pre-outage flow of line ``np.flatnonzero(~islanding)[j]`` over
+    every line, with -1 on that line so its post-outage flow is zero.
     """
 
-    ptdf: np.ndarray
+    phi_gen: np.ndarray
+    phi_load: np.ndarray
     lodf: np.ndarray
     islanding: np.ndarray
-    gen_incidence: np.ndarray
-    load_incidence: np.ndarray
 
     def __post_init__(self):
-        for attr in ("ptdf", "lodf", "gen_incidence", "load_incidence"):
+        for attr in ("phi_gen", "phi_load", "lodf"):
             object.__setattr__(self, attr, _asarray(getattr(self, attr)))
         object.__setattr__(self, "islanding", _asarray(self.islanding, dtype=bool))
 
@@ -178,24 +178,6 @@ def branch_incidence(case: GridCase) -> np.ndarray:
     return A
 
 
-def gen_to_bus_matrix(case: GridCase) -> np.ndarray:
-    B = np.zeros((case.n_bus, case.n_gen))
-    B[case.gen_bus, np.arange(case.n_gen)] = 1.0
-    return B
-
-
-def load_to_bus_matrix(case: GridCase) -> np.ndarray:
-    L = np.zeros((case.n_bus, case.n_load))
-    L[case.load_bus, np.arange(case.n_load)] = 1.0
-    return L
-
-
-def bus_demand(case: GridCase, d: np.ndarray) -> np.ndarray:
-    """Aggregate per-load-unit demand onto buses; supports a leading batch axis."""
-    L = load_to_bus_matrix(case)
-    return np.asarray(d) @ L.T
-
-
 def build_ptdf(case: GridCase) -> np.ndarray:
     """Withdrawal-convention PTDF: f = ptdf @ w for balanced withdrawals w.
 
@@ -219,34 +201,33 @@ def build_ptdf(case: GridCase) -> np.ndarray:
 
 
 def build_lodf(case: GridCase, ptdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LODF matrix and islanding flags from a withdrawal-convention PTDF.
+    """LODF rows and islanding flags from a withdrawal-convention PTDF.
 
-    Column k is the transfer sensitivity of a unit flow moved between the
-    endpoints of line k, scaled by 1/(1 - phi_kk).  Lines with
-    |1 - phi_kk| < ISLANDING_TOL are bridges: flagged, column zeroed.
+    The row of outage k is the transfer sensitivity of a unit flow moved
+    between the endpoints of line k, scaled by 1/(1 - phi_kk), with -1 on
+    line k itself.  Lines with |1 - phi_kk| < ISLANDING_TOL are bridges:
+    flagged, and given no row.
     """
     # transfer = withdrawal at the to bus, injection at the from bus
-    transfer = ptdf[:, case.line_to] - ptdf[:, case.line_from]
-    phi_self = np.diag(transfer).copy()
-    denom = 1.0 - phi_self
+    lines = np.arange(case.n_line)
+    denom = 1.0 - (ptdf[lines, case.line_to] - ptdf[lines, case.line_from])
     islanding = np.abs(denom) < ISLANDING_TOL
-    denom_safe = np.where(islanding, 1.0, denom)
-    lodf = transfer / denom_safe[None, :]
-    np.fill_diagonal(lodf, -1.0)
-    lodf[:, islanding] = 0.0
+    keep = np.flatnonzero(~islanding)
+    lodf = ptdf.T[case.line_to[keep]]
+    lodf -= ptdf.T[case.line_from[keep]]
+    lodf /= denom[keep, None]
+    lodf[np.arange(keep.size), keep] = -1.0
     return lodf, islanding
 
 
 def build_factors(case: GridCase) -> LinearFactors:
     ptdf = build_ptdf(case)
     lodf, islanding = build_lodf(case, ptdf)
-    return LinearFactors(
-        ptdf=ptdf,
-        lodf=lodf,
-        islanding=islanding,
-        gen_incidence=gen_to_bus_matrix(case),
-        load_incidence=load_to_bus_matrix(case),
-    )
+    # a column gather comes out F-ordered, and BLAS would then sum the flow
+    # products g @ phi_gen' in another order
+    return LinearFactors(phi_gen=np.ascontiguousarray(ptdf[:, case.gen_bus]),
+                         phi_load=np.ascontiguousarray(ptdf[:, case.load_bus]),
+                         lodf=lodf, islanding=islanding)
 
 
 def screen_contingencies(case: GridCase, factors: LinearFactors) -> ContingencySet:

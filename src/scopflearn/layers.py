@@ -264,9 +264,15 @@ class PrimalPipeline:
         self.fub = case.fub
         self.Pi = case.Pi
         # flow maps: f = d @ phi_load' - g @ phi_gen'
-        self.phi_gen = factors.ptdf @ factors.gen_incidence
-        self.phi_load = factors.ptdf @ factors.load_incidence
-        self.lodf_ke = factors.lodf[:, self.ke].T if self.ke.size else np.zeros((0, case.n_line))
+        self.phi_gen, self.phi_load = factors.phi_gen, factors.phi_load
+        bridges = self.ke[factors.islanding[self.ke]]
+        if bridges.size:
+            raise ConfigError(f"line outages {bridges.tolist()} would island the network")
+        # the LODF row of each outage in ke: the screened set reads the
+        # factors' own rows, any other set gathers its rows
+        rows = np.cumsum(~factors.islanding)[self.ke] - 1
+        self.lodf_ke = (factors.lodf if np.array_equal(rows, np.arange(len(factors.lodf)))
+                        else factors.lodf[rows])
 
     def forward(self, z: np.ndarray, d: np.ndarray, gub: np.ndarray,
                 with_slacks: bool | str = True) -> PipelineState:
@@ -286,27 +292,25 @@ class PrimalPipeline:
         d_total = d.sum(-1)
         gcheck, sig = bound_map(z, glb, gub)
         gtilde, repair_ctx = repair_layer(gcheck, d_total, glb, gub)
-        state = self._dispatch_state(gtilde, d, d_total, glb, gub, self.t, with_slacks)
+        state = self._dispatch_state(gtilde, d, d_total, glb, gub, with_slacks)
         state.z, state.sig, state.repair_ctx = z, sig, repair_ctx
         return state
 
     def evaluate_dispatch(self, g: np.ndarray, d: np.ndarray, gub: np.ndarray,
-                          t: int | None = None,
                           with_slacks: bool | str = True) -> PipelineState:
         """The bisection and slack retrieval of ``forward`` from a given
         dispatch g (B, n_gen) instead of raw network outputs; reference
-        evaluations start here.  t overrides the pipeline's bisection
-        iteration count."""
+        evaluations start here."""
         d = np.atleast_2d(np.asarray(d, float))
         gub = np.atleast_2d(np.asarray(gub, float))
         return self._dispatch_state(np.atleast_2d(np.asarray(g, float)), d, d.sum(-1),
-                                    np.broadcast_to(self.glb, gub.shape), gub,
-                                    self.t if t is None else t, with_slacks)
+                                    np.broadcast_to(self.glb, gub.shape), gub, with_slacks)
 
-    def _dispatch_state(self, g, d, d_total, glb, gub, t, with_slacks) -> PipelineState:
+    def _dispatch_state(self, g, d, d_total, glb, gub, with_slacks) -> PipelineState:
         """The tail that ``forward`` and ``evaluate_dispatch`` share, on
         normalized (B, ...) arrays: bisection from dispatch g, then slacks."""
-        gk, nk, rho = binary_search_batch(g, d_total, self.kg, self.gamma, gub - glb, gub, t)
+        gk, nk, rho = binary_search_batch(g, d_total, self.kg, self.gamma, gub - glb, gub,
+                                          self.t)
         h = gk.sum(-1) - d_total[:, None]
         state = PipelineState(z=None, sig=None, glb=glb, gub=gub, repair_ctx=None,
                               gtilde=g, gk=gk, nk=nk, rho=rho, h=h, d_total=d_total)

@@ -44,13 +44,13 @@ def oracle_objective(g, inst: Instance, pipe: PrimalPipeline) -> np.ndarray:
     """F(g): cost plus penalized slacks with contingency dispatches from the
     balance search; +inf where some admissible outage cannot be balanced.
 
-    Accepts a single dispatch or a batch (P, n_gen); always evaluates with
-    ORACLE_BISECT_ITERS bisection iterations.
+    Accepts a single dispatch or a batch (P, n_gen); evaluates at the
+    pipeline's bisection iteration count (``oracle_solve`` builds its
+    pipeline at ORACLE_BISECT_ITERS).
     """
     g = np.atleast_2d(np.asarray(g, float))
     state = pipe.evaluate_dispatch(g, np.broadcast_to(inst.d, (g.shape[0], inst.d.size)),
-                                   np.broadcast_to(inst.gub, g.shape),
-                                   t=ORACLE_BISECT_ITERS, with_slacks="sums")
+                                   np.broadcast_to(inst.gub, g.shape), with_slacks="sums")
     obj = pipe.objective(state, np.broadcast_to(inst.c, g.shape))
     if state.h.shape[-1]:
         infeasible = np.abs(state.h).max(-1) > BALANCE_TOL
@@ -112,20 +112,18 @@ def _recoverable(pipe: PrimalPipeline, inst: Instance, g: np.ndarray) -> np.ndar
     return ok
 
 
-def lipschitz_bound(case: GridCase, factors: LinearFactors, cont: ContingencySet,
-                    c: np.ndarray) -> float:
+def lipschitz_bound(pipe: PrimalPipeline, c: np.ndarray) -> float:
     """Upper bound on the Lipschitz constant of F over the feasible slice,
-    assembled from the factor matrices: cost, base/line-contingency slack
+    assembled from the pipeline's factors: cost, base/line-contingency slack
     sensitivities, and droop-response amplification for generator outages."""
-    phi_gen = factors.ptdf @ factors.gen_incidence
-    row_norms = np.linalg.norm(phi_gen, axis=1)
+    row_norms = np.linalg.norm(pipe.phi_gen, axis=1)
     m0 = row_norms.sum()
     l_line = 0.0
-    for k in cont.line_contingencies:
-        l_line += m0 - row_norms[k] + np.abs(factors.lodf[:, k]).sum() * row_norms[k]
-    l_gen = cont.n_gen * (1.0 + np.sqrt(case.n_gen)) * m0
+    for k, lodf in zip(pipe.ke, pipe.lodf_ke):
+        l_line += m0 - row_norms[k] + np.abs(lodf).sum() * row_norms[k]
+    l_gen = pipe.kg.size * (1.0 + np.sqrt(pipe.case.n_gen)) * m0
     l_flow = m0 + l_line + l_gen
-    return float(np.abs(c).sum() + case.Pi * l_flow)
+    return float(np.abs(c).sum() + pipe.Pi * l_flow)
 
 
 def oracle_solve(inst: Instance, case: GridCase, factors: LinearFactors,
@@ -177,7 +175,7 @@ def oracle_solve(inst: Instance, case: GridCase, factors: LinearFactors,
                                              glb, gub, resolution)
     evals += polish_evals
 
-    cert = lipschitz_bound(case, factors, cont, inst.c) * resolution * np.sqrt(case.n_gen)
+    cert = lipschitz_bound(pipe, inst.c) * resolution * np.sqrt(case.n_gen)
     _check_result(pipe, inst, best_g)
     return OracleResult(g_star=best_g, obj_star=best_val, tol_certificate=cert,
                         evals=evals)
@@ -230,8 +228,7 @@ def _check_result(pipe, inst, g) -> None:
         raise DataError(f"reference dispatch violates power balance by {balance:g}")
     if np.any(g < pipe.glb - 1e-9) or np.any(g > inst.gub + 1e-9):
         raise DataError("reference dispatch violates generator bounds")
-    state = pipe.evaluate_dispatch(g, inst.d, inst.gub, t=ORACLE_BISECT_ITERS,
-                                   with_slacks=False)
+    state = pipe.evaluate_dispatch(g, inst.d, inst.gub, with_slacks=False)
     if state.h.size and np.abs(state.h).max() > BALANCE_TOL:
         raise DataError("reference dispatch cannot balance a contingency")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,30 +59,42 @@ def write_blob(path, magic: bytes, meta: dict, arrays: list, flags: int = 0) -> 
             fh.write(np.ascontiguousarray(arr).tobytes())
 
 
-def read_blob(path, magic: bytes):
+def read_blob(path, magic: bytes, into=None):
+    """Metadata, arrays and flags of a blob.  Each array is read straight
+    into its destination: into(meta) gives one array per stored name, of the
+    stored shape and dtype; by default each is a fresh array."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            head = fh.read(24)
+            if len(head) < 24 or head[:8] != magic:
+                raise DataError(f"{path} is not a {magic[:7].decode()} file")
+            version, flags, meta_len = struct.unpack("<IIQ", head[8:])
+            if version != CONTAINER_VERSION:
+                raise DataError(f"unsupported container version {version} in {path}")
+            # sizes are checked against the file before anything is allocated
+            size = os.fstat(fh.fileno()).st_size
+            if 24 + meta_len > size:
+                raise DataError(f"truncated blob {path}")
+            meta = json.loads(fh.read(meta_len).decode())
+            specs = meta["arrays"]
+            if 24 + meta_len + sum(np.dtype(spec["dtype"]).itemsize * math.prod(spec["shape"])
+                                   for spec in specs) > size:
+                raise DataError(f"truncated blob {path}")
+            arrays = into(meta) if into else {
+                spec["name"]: np.empty(spec["shape"], spec["dtype"]) for spec in specs}
+            if sorted(spec["name"] for spec in specs) != sorted(arrays):
+                raise DataError(f"stored arrays of {path} are not the expected ones")
+            for spec in specs:
+                out = arrays[spec["name"]]
+                if out.shape != tuple(spec["shape"]) or out.dtype != np.dtype(spec["dtype"]):
+                    raise DataError(f"stored array {spec['name']!r} {spec['dtype']}"
+                                    f"{tuple(spec['shape'])} and its destination {out.dtype}"
+                                    f"{out.shape} do not match in {path}")
+                if fh.readinto(out) != out.nbytes:
+                    raise DataError(f"truncated blob {path}")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if len(raw) < 24 or raw[:8] != magic:
-        raise DataError(f"{path} is not a {magic[:7].decode()} file")
-    version, flags = struct.unpack("<II", raw[8:16])
-    if version != CONTAINER_VERSION:
-        raise DataError(f"unsupported container version {version} in {path}")
-    (meta_len,) = struct.unpack("<Q", raw[16:24])
-    meta = json.loads(raw[24:24 + meta_len].decode())
-    offset = 24 + meta_len
-    arrays = {}
-    for spec in meta["arrays"]:
-        dtype = np.dtype(spec["dtype"])
-        count = int(math.prod(spec["shape"]))
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(raw):
-            raise DataError(f"truncated blob {path}")
-        # a read-only view of the file bytes: the reader makes the one copy
-        arrays[spec["name"]] = np.frombuffer(raw, dtype, count, offset).reshape(spec["shape"])
-        offset += nbytes
     return meta, arrays, flags
 
 
@@ -142,7 +155,6 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 def read_dataset(path) -> Dataset:
     meta, arrays, flags = read_blob(path, DATASET_MAGIC)
-    arrays = {name: a.copy() for name, a in arrays.items()}
     labeled = bool(flags & FLAG_LABELED)
     return Dataset(
         case_name=meta["case"],
@@ -201,8 +213,9 @@ def _pack_net(prefix: str, params: MlpParams, adam: AdamState, arrays: list) -> 
 
 
 def _unpack_net(prefix: str, spec: dict, arrays: dict) -> tuple[MlpParams, AdamState]:
-    """Copy the stored arrays of one network straight into its flat
-    parameter and Adam moment buffers, one copy per array."""
+    """One network whose parameter and Adam moment buffers are still to be
+    filled; adds to arrays the view of those buffers that each stored array
+    of the network is read into."""
     params = MlpParams(sizes=tuple(spec["sizes"]), use_layernorm=spec["use_layernorm"])
     adam = AdamState(
         m=np.empty_like(params.flat),
@@ -212,15 +225,11 @@ def _unpack_net(prefix: str, spec: dict, arrays: dict) -> tuple[MlpParams, AdamS
         beta2=float(spec["adam_beta2"]),
         eps=float(spec["adam_eps"]),
     )
-    names, shapes = zip(*params.shapes())
-    for keys, flat in ((names, params.flat),
-                       ([f"adam_m{i}" for i in range(len(names))], adam.m),
-                       ([f"adam_v{i}" for i in range(len(names))], adam.v)):
-        stored = [arrays[f"{prefix}.{key}"] for key in keys]
-        if tuple(a.shape for a in stored) != shapes:
-            raise DataError(f"checkpoint arrays of network {prefix!r} do not match "
-                            f"its layer sizes {spec['sizes']}")
-        np.concatenate(stored, axis=None, out=flat)
+    views = zip(params.named_arrays(), params.split(adam.m), params.split(adam.v))
+    for i, ((name, w), m, v) in enumerate(views):
+        arrays[f"{prefix}.{name}"] = w
+        arrays[f"{prefix}.adam_m{i}"] = m
+        arrays[f"{prefix}.adam_v{i}"] = v
     return params, adam
 
 
@@ -241,11 +250,18 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    meta, arrays, _ = read_blob(path, CHECKPOINT_MAGIC)
-    primal, primal_adam = _unpack_net("p", meta["primal"], arrays)
-    dual = dual_adam = None
-    if "dual" in meta:
-        dual, dual_adam = _unpack_net("d", meta["dual"], arrays)
+    nets = {}
+
+    def into(meta):
+        arrays = {}
+        for prefix, key in (("p", "primal"), ("d", "dual")):
+            if key in meta:
+                nets[key] = _unpack_net(prefix, meta[key], arrays)
+        return arrays
+
+    meta, _, _ = read_blob(path, CHECKPOINT_MAGIC, into)
+    primal, primal_adam = nets["primal"]
+    dual, dual_adam = nets.get("dual", (None, None))
     return Checkpoint(
         method=meta["method"],
         case_name=meta["case"],

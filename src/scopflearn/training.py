@@ -152,14 +152,6 @@ _LOSSES = {"pdl": _pdl_loss, "penalty": _penalty_loss,
            "naive": _distance_loss, "ld": _ld_loss}
 
 
-def dual_loss(lambda_new, lambda_frozen, h, dual_loss_rho: float) -> float:
-    """Distance between new multipliers and the frozen-multiplier update
-    target lambda_frozen + rho_d * h (Euclidean norm)."""
-    lambda_new = np.asarray(lambda_new, float)
-    target = np.asarray(lambda_frozen, float) + dual_loss_rho * np.asarray(h, float)
-    return float(np.linalg.norm(lambda_new - target))
-
-
 def update_penalty(rho: float, v: float, v_prev: float, config: TrainerConfig) -> float:
     """Grow the penalty only when the max violation failed to drop below
     tau times its previous value; never exceed rho_max."""

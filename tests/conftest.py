@@ -123,7 +123,7 @@ def make_ring_mesh(grid_seed, n_bus, n_chords, n_gen, n_load):
         load_bus=load_bus, d0=d0, slack_bus=0, name=f"ring{n_bus}x{n_line}")
     factors = build_factors(unlimited)
     g = glb + (d0.sum() - glb.sum()) * (cap - glb) / (cap - glb).sum()
-    f0 = (factors.ptdf @ factors.load_incidence) @ d0 - (factors.ptdf @ factors.gen_incidence) @ g
+    f0 = factors.phi_load @ d0 - factors.phi_gen @ g
     limit = np.maximum(1.3 * np.abs(f0), 0.2)
     return dataclasses.replace(unlimited, flb=-limit, fub=limit)
 

@@ -35,6 +35,14 @@ def solve_dc_flows(n_bus, line_from, line_to, susceptance, slack_bus, injections
     return susceptance * (A @ theta)
 
 
+def bus_demand(case, d):
+    """Per-load-unit demand aggregated onto buses; supports a leading batch
+    axis."""
+    to_bus = np.zeros((case.n_bus, case.n_load))
+    to_bus[case.load_bus, np.arange(case.n_load)] = 1.0
+    return np.asarray(d, float) @ to_bus.T
+
+
 def case_flows(case, g, d):
     """Base-case flows for dispatch g and per-load-unit demand d."""
     inj = np.zeros(case.n_bus)

@@ -195,6 +195,20 @@ def test_train_config_file_with_flag_override(tmp_path):
     assert effective["K"] == 1  # file value kept
 
 
+def test_train_flag_spellings():
+    # the trainer's flags are derived from TrainerConfig; their spellings are
+    # part of the command line
+    train = next(a for a in cli.build_parser()._actions
+                 if a.dest == "command").choices["train"]
+    flags = {s for a in train._actions for s in a.option_strings}
+    assert flags == {"-h", "--help", "--config", "--case", "--method", "--dataset",
+                     "--out-dir", "-K", "-L", "--batch", "--rho0", "--rho-max", "--tau",
+                     "--alpha", "--dual-loss-rho", "--obj-scale", "--lr", "--seed",
+                     "--bisect-iters"}
+    args = cli.build_parser().parse_args(["train", "-K", "3", "--rho-max", "5"])
+    assert (args.K, args.rho_max) == (3, 5.0) and type(args.K) is int
+
+
 def test_train_unknown_config_key(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"not_a_key": 1}))

@@ -10,7 +10,6 @@ from scopflearn.grid import (
     build_factors,
     build_lodf,
     build_ptdf,
-    bus_demand,
     case_from_dict,
     case_to_dict,
     load_case,
@@ -19,7 +18,7 @@ from scopflearn.grid import (
 )
 
 from conftest import make_mesh8, make_two_bus
-from oracles import case_flows, case_flows_without_line
+from oracles import bus_demand, case_flows, case_flows_without_line
 
 
 def test_two_bus_ptdf():
@@ -31,20 +30,30 @@ def test_two_bus_ptdf():
     assert np.isclose(ptdf @ w, 1.0).all()
 
 
-def test_triangle_ptdf_hand_values(tri_case, tri_factors):
+def test_triangle_ptdf_hand_values(tri_case):
     # withdrawal of 1 p.u. at bus 1: flows (2/3, 1/3, -1/3) on lines
     # (0,1), (0,2), (1,2) -- solved by hand from the 2x2 reduced system
-    col = tri_factors.ptdf[:, 1]
+    col = build_ptdf(tri_case)[:, 1]
     assert np.allclose(col, [2 / 3, 1 / 3, -1 / 3])
 
 
-def test_ptdf_zero_withdrawal_zero_flow(tri_factors):
-    assert np.all(tri_factors.ptdf @ np.zeros(3) == 0.0)
+def test_ptdf_zero_withdrawal_zero_flow(tri_case):
+    assert np.all(build_ptdf(tri_case) @ np.zeros(3) == 0.0)
 
 
-def test_ptdf_slack_column_zero(tri_factors, m5_factors):
-    assert np.all(tri_factors.ptdf[:, 0] == 0.0)
-    assert np.all(m5_factors.ptdf[:, 0] == 0.0)
+def test_ptdf_slack_column_zero(tri_case, m5_case):
+    assert np.all(build_ptdf(tri_case)[:, 0] == 0.0)
+    assert np.all(build_ptdf(m5_case)[:, 0] == 0.0)
+
+
+def test_flow_maps_are_ptdf_columns(m5_case, m5_factors, mesh8_case):
+    ptdf = build_ptdf(m5_case)
+    assert np.array_equal(m5_factors.phi_gen, ptdf[:, m5_case.gen_bus])
+    assert np.array_equal(m5_factors.phi_load, ptdf[:, m5_case.load_bus])
+    # C order keeps the flow products' BLAS summation order
+    factors = build_factors(mesh8_case)
+    for a in (factors.phi_gen, factors.phi_load, factors.lodf):
+        assert a.flags.c_contiguous
 
 
 @pytest.mark.parametrize("maker", [make_two_bus, make_mesh8])
@@ -71,24 +80,30 @@ def test_ptdf_matches_direct_solve(mesh8_case):
     assert np.allclose(ptdf @ w, case_flows(mesh8_case, g, d), atol=1e-10)
 
 
-def test_lodf_diagonal_minus_one(m5_case, m5_factors):
-    lodf, islanding = build_lodf(m5_case, m5_factors.ptdf)
+def test_lodf_diagonal_minus_one(m5_case, mesh8_case):
+    lodf, islanding = build_lodf(m5_case, build_ptdf(m5_case))
     assert not islanding.any()
     assert np.allclose(np.diag(lodf), -1.0)
+    # one row per line that does not island the network, -1 on its own line
+    lodf, islanding = build_lodf(mesh8_case, build_ptdf(mesh8_case))
+    outaged = np.flatnonzero(~islanding)
+    assert lodf.shape == (outaged.size, mesh8_case.n_line)
+    assert np.all(lodf[np.arange(outaged.size), outaged] == -1.0)
 
 
 def test_lodf_triangle_hand_values(tri_case, tri_factors):
     # outage of line (0,1): flow reroutes entirely via bus 2
     lodf = tri_factors.lodf
-    assert np.isclose(lodf[1, 0], 1.0)
-    assert np.isclose(lodf[2, 0], -1.0)
+    assert np.isclose(lodf[0, 1], 1.0)
+    assert np.isclose(lodf[0, 2], -1.0)
 
 
 def test_lodf_radial_two_bus_islanding():
     case = make_two_bus()
     ptdf = build_ptdf(case)
-    _, islanding = build_lodf(case, ptdf)
+    lodf, islanding = build_lodf(case, ptdf)
     assert islanding[0]
+    assert lodf.shape == (0, 1)
 
 
 @pytest.mark.parametrize("maker", [make_mesh8])
@@ -101,9 +116,10 @@ def test_lodf_matches_outage_resolve(maker):
         g = rng.uniform(0, 0.8, case.n_gen)
         d = rng.uniform(0.1, 0.4, case.n_load)
         g = g * (d.sum() / g.sum())
-        f = factors.ptdf @ (bus_demand(case, d) - factors.gen_incidence @ g)
-        for k in cont.line_contingencies:
-            post = f + f[k] * factors.lodf[:, k]
+        f = factors.phi_load @ d - factors.phi_gen @ g
+        assert cont.line_contingencies == tuple(np.flatnonzero(~factors.islanding))
+        for k, lodf in zip(cont.line_contingencies, factors.lodf):
+            post = f + f[k] * lodf
             ref = case_flows_without_line(case, k, g, d)
             assert abs(post[k]) <= 1e-9
             mask = np.arange(case.n_line) != k
@@ -219,5 +235,6 @@ def test_bus_demand_batched(m5_case):
 
 
 def test_factors_immutable(m5_factors):
-    with pytest.raises(ValueError):
-        m5_factors.ptdf[0, 0] = 99.0
+    for a in (m5_factors.phi_gen, m5_factors.phi_load, m5_factors.lodf, m5_factors.islanding):
+        with pytest.raises(ValueError):
+            a.flat[0] = 1

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from scopflearn import layers
 from scopflearn.errors import ConfigError
-from scopflearn.grid import GridCase, build_factors, screen_contingencies
+from scopflearn.grid import ContingencySet, GridCase, build_factors, screen_contingencies
 from scopflearn.layers import (
     PrimalPipeline,
     binary_search_batch,
@@ -326,13 +327,13 @@ def test_bisection_matches_reference_edge_cases(t):
 
 def test_bisection_rejects_bad_iteration_count(m5_case, m5_factors, m5_cont):
     # at t > 52 the step would fall below the last bit of n in [0.5, 1)
-    pipe = PrimalPipeline(m5_case, m5_factors, m5_cont)
     for t in (0, 53):
         with pytest.raises(ConfigError):
             _bisect_one(np.ones(2), 1.0, 0, np.ones(2), np.ones(2), np.full(2, 2.0), t=t)
-        # through the pipeline's dispatch path too: t is not its default count
+        # through the pipeline's dispatch path too
+        pipe = PrimalPipeline(m5_case, m5_factors, m5_cont, t=t)
         with pytest.raises(ConfigError):
-            pipe.evaluate_dispatch(m5_case.glb, m5_case.d0, m5_case.gub0, t=t)
+            pipe.evaluate_dispatch(m5_case.glb, m5_case.d0, m5_case.gub0)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +544,54 @@ def test_slack_mode_is_checked(m5_case, m5_factors, m5_cont):
     pipe = PrimalPipeline(m5_case, m5_factors, m5_cont)
     with pytest.raises(ConfigError):
         pipe.forward(np.zeros(3), m5_case.d0, m5_case.gub0, with_slacks="full")
+
+
+# ---------------------------------------------------------------------------
+# the factors a pipeline reads
+
+def test_pipeline_reads_the_screened_factors_in_place(m5_case, m5_factors, m5_cont):
+    pipe = PrimalPipeline(m5_case, m5_factors, m5_cont)
+    for own, held in ((pipe.lodf_ke, m5_factors.lodf), (pipe.phi_gen, m5_factors.phi_gen),
+                      (pipe.phi_load, m5_factors.phi_load)):
+        assert np.shares_memory(own, held)
+
+
+def test_pipeline_gathers_the_rows_of_other_outage_sets(mesh8_case):
+    # mesh8's line 9 is a bridge, so not every line has a row; tight limits
+    # make the line-outage slacks nonzero
+    case = dataclasses.replace(mesh8_case, flb=np.full(10, -0.2), fub=np.full(10, 0.2))
+    factors = build_factors(case)
+    cont = screen_contingencies(case, factors)
+    pipe, z, d, gub, _ = _mesh_request(case, 5, seed=3)
+    full = pipe.forward(z, d, gub)
+    assert full.eta_e.any()
+    for ke in (cont.line_contingencies[::-1], cont.line_contingencies[1::3]):
+        sub = PrimalPipeline(case, factors, ContingencySet(cont.gen_contingencies, ke))
+        cols = [cont.line_contingencies.index(k) for k in ke]
+        assert np.array_equal(sub.forward(z, d, gub).eta_e, full.eta_e[:, cols])
+
+
+def test_pipeline_rejects_an_islanding_outage(mesh8_case):
+    factors = build_factors(mesh8_case)
+    assert factors.islanding[9]
+    with pytest.raises(ConfigError, match="island"):
+        PrimalPipeline(mesh8_case, factors, ContingencySet((0,), (0, 9)))
+
+
+def test_setup_holds_each_factor_once():
+    """The factors, the screened set and a pipeline together hold little
+    beyond the LODF rows and the two flow maps: no PTDF and no second LODF."""
+    case = make_ring_mesh(grid_seed=3, n_bus=250, n_chords=60, n_gen=6, n_load=40)
+    tracemalloc.start()
+    try:
+        factors = build_factors(case)
+        pipe = PrimalPipeline(case, factors, screen_contingencies(case, factors))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pipe.ke.size == case.n_line >= 300
+    need = pipe.lodf_ke.nbytes + pipe.phi_gen.nbytes + pipe.phi_load.nbytes
+    assert held <= 1.1 * need, f"held {held} B for {need} B of factors"
 
 
 def test_training_path_memory_does_not_grow_with_outages():

@@ -90,7 +90,7 @@ def test_instances_dim_check(m5_case, tri_case):
         ds.instances(tri_case)
 
 
-def test_corrupt_files_rejected(tmp_path):
+def test_corrupt_files_rejected(tmp_path, m5_case, m5_cont):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"definitely not a dataset")
     with pytest.raises(DataError):
@@ -98,6 +98,25 @@ def test_corrupt_files_rejected(tmp_path):
     p.write_bytes(b"SCLDATA\x01" + b"\x00" * 4)
     with pytest.raises(DataError):
         read_dataset(p)
+    # a file cut short inside its arrays, or claiming a larger array than it
+    # holds, is refused before anything is read into a buffer
+    write_dataset(p, _dataset(m5_case, m5_cont, n=3))
+    whole = p.read_bytes()
+    p.write_bytes(whole[:-1])
+    with pytest.raises(DataError, match="truncated"):
+        read_dataset(p)
+    p.write_bytes(whole.replace(b'"shape":[3,3]', b'"shape":[9,3]', 1))
+    with pytest.raises(DataError, match="truncated"):
+        read_dataset(p)
+    p.write_bytes(whole[:16] + b"\xff" * 8 + whole[24:])   # metadata length 2^64 - 1
+    with pytest.raises(DataError, match="truncated"):
+        read_dataset(p)
+    primal = init_mlp((4, 6, 2), np.random.default_rng(47))
+    save_checkpoint(p, Checkpoint(method="penalty", case_name="t", dim_x=4, n_gen=2,
+                                  primal=primal, primal_adam=AdamState.for_params(primal)))
+    p.write_bytes(p.read_bytes()[:-8])
+    with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(p)
 
 
 def test_checkpoint_roundtrip(tmp_path):

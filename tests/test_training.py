@@ -7,7 +7,6 @@ from scopflearn.nn import mlp_forward
 from scopflearn.sampling import PerturbationConfig, sample_dataset
 from scopflearn.training import (
     TrainerConfig,
-    dual_loss,
     max_violation,
     primal_loss_terms,
     stack_instances,
@@ -81,14 +80,6 @@ def test_primal_loss_penalty_term():
     lam, h, rho = 1.0, 0.5, 2.0
     val = lam * h + 0.5 * rho * h**2
     assert np.isclose(val, 0.75)
-
-
-def test_dual_loss_examples():
-    assert dual_loss([0.2], [0.1], [1.0], 0.1) == pytest.approx(0.0)
-    assert dual_loss([0.5], [0.1], [0.0], 0.1) == pytest.approx(0.4)
-    assert dual_loss([0.0], [0.0], [1.0], 0.1) == pytest.approx(0.1)
-    # Euclidean over contingencies
-    assert dual_loss([0.0, 0.0], [0.0, 0.0], [3.0, 4.0], 1.0) == pytest.approx(5.0)
 
 
 def test_update_penalty_rule():
