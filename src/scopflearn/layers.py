@@ -12,13 +12,28 @@ backward conventions are: the repair branch and the per-generator cap flags
 are frozen from the forward pass, and the converged response signal is
 treated as a constant (no gradient through the bisection root).
 
-Line-outage slacks are formed in blocks of outages of at most SLACK_BLOCK
-elements, so the post-outage flows of a batch never exist all at once.  Each
-slack mode keeps only what its callers read: every mode keeps the
-per-instance line-outage slack total; "sums" (training, reference
-evaluations) adds the weight vector of the objective gradient; True (serving,
-reporting) adds the per-outage slacks, of shape (batch, line outage, line),
-and forms no sign patterns; False retrieves no slacks.
+Line-outage slacks are formed in blocks of at most SLACK_BLOCK elements, so
+the post-outage flows of a batch never exist all at once.  Few (outage, line)
+pairs can bind, so a batch whose line-outage work exceeds one block is first
+screened (``PrimalPipeline.binding_pairs``): from each line's interval of
+base flows over the batch, a pair whose post-outage flow stays strictly
+inside its limits in every row is dropped, and only the other pairs are
+gathered and formed.  The screen is exact in floating point: its bounds take
+the operations of the post-outage flow in the same order, and rounding is
+monotone, so every dropped pair has slack +0.0 and sign 0 bit for bit, and a
+non-finite flow keeps its pairs.  The dense blocks still run where the
+screen cannot pay: when the whole batch fits one block, or when the screen
+keeps more than PAIR_SHARE of the pairs.  The per-outage slacks are
+identical either way; sums over pairs can move in their last bits, since the
+gathered blocks add fewer terms in another order.
+
+Each slack mode keeps only what its callers read: every mode keeps the
+base-case and generator-outage slacks and the per-instance line-outage slack
+total; "totals" (the evaluation pass, the reference solver) keeps nothing
+more; "sums" (training) adds the sign patterns and the weight vector of the
+objective gradient; True (serving, reporting) adds the per-outage slacks, of
+shape (batch, line outage, line), and forms no sign patterns; False
+retrieves no slacks.
 """
 
 from __future__ import annotations
@@ -34,6 +49,11 @@ DEGENERATE_TOL = 1e-12
 # elements of one float64 temporary in the line-outage slack loop (512 KB);
 # a block holds at least one outage, however large the batch
 SLACK_BLOCK = 1 << 16
+# the screen's pairs are gathered only where it keeps at most this share of
+# them, else the dense blocks run: on a 210-line mesh the two forms broke even
+# near 30% kept at batch 8 and near 45-50% at batches 32 and 128; on a 40-line
+# mesh at batch 128, keeping 80-93%, the gathered form was up to 25% slower
+PAIR_SHARE = 0.5
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -41,6 +61,30 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) on both branches; min(z, -z) keeps a NaN's own bits
     e = np.exp(np.minimum(z, -z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def thermal_slacks(f: np.ndarray, flb, fub, signs: bool = True, overwrite: bool = False):
+    """Thermal slacks max(0, f - fub, flb - f) of flows f, and their sign
+    pattern (+1 over the upper limit, -1 under the lower, else 0; None unless
+    signs).  overwrite: f is a temporary whose memory may be reused."""
+    over = f - fub
+    under = np.subtract(flb, f, out=f if overwrite else None)
+    eta = np.maximum(over, under, out=None if signs else over)
+    np.maximum(0.0, eta, out=eta)
+    if not signs:
+        return eta, None
+    # (over > 0) - (under > 0), in place; from booleans, far cheaper than
+    # np.where with scalars
+    sign = np.greater(over, 0.0).astype(float)
+    np.subtract(sign, np.greater(under, 0.0), out=sign)
+    return eta, sign
+
+
+def _scatter_sum(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> np.ndarray:
+    """The dense array of the given shape whose (row, col) entry sums the
+    vals at that index, in the order given."""
+    idx = rows * shape[1] + cols
+    return np.bincount(idx, vals, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +286,7 @@ class PipelineState:
     sign_e: np.ndarray = None
     # every slack mode: the per-instance line-outage slack total (B,); "sums"
     # only: the objective-gradient weights on the base flows (B, n_line);
-    # True only: eta_e and no sign patterns
+    # True only: eta_e; "totals" neither
     eta_e_sum: np.ndarray = None
     weights: np.ndarray = None
 
@@ -279,10 +323,11 @@ class PrimalPipeline:
         """Raw outputs z (B, n_gen) to the full primal point.
 
         with_slacks: True keeps every slack, the per-outage line-outage
-        ones included, and no sign patterns (serving, reporting).  "sums"
-        keeps the base-case and generator-outage slacks and signs, reduces
-        the line outages block by block to the per-instance slack total, and
-        forms the objective-gradient weights (training).  False retrieves no
+        ones included, and no sign patterns (serving, reporting).  "totals"
+        keeps the base-case and generator-outage slacks and reduces the line
+        outages block by block to the per-instance slack total (evaluation
+        passes).  "sums" adds the base-case and generator-outage signs and
+        the objective-gradient weights (training).  False retrieves no
         slacks.
         """
         z = np.atleast_2d(np.asarray(z, float))
@@ -325,50 +370,127 @@ class PrimalPipeline:
         return flow_d, flow_d - g @ self.phi_gen.T
 
     def _attach_slacks(self, state: PipelineState, d: np.ndarray, with_slacks) -> None:
-        if with_slacks is not True and with_slacks != "sums":
-            raise ConfigError(f"with_slacks must be True, False or 'sums', got {with_slacks!r}")
-        grads = with_slacks == "sums"
+        if with_slacks is not True and with_slacks not in ("sums", "totals"):
+            raise ConfigError("with_slacks must be True, False, 'sums' or 'totals', "
+                              f"got {with_slacks!r}")
+        grads, serving = with_slacks == "sums", with_slacks is True
         flow_d, f0 = self.base_flows(state.gtilde, d)
         state.f0 = f0
         state.eta0, state.sign0 = self.slack_and_sign(f0, grads)
         fg = flow_d[:, None, :] - state.gk @ self.phi_gen.T
         state.eta_g, state.sign_g = self.slack_and_sign(fg, grads)
         batch, n_line = f0.shape
+        # screened before the outputs are allocated, so its temporaries are
+        # gone at their peak
+        pairs = self.binding_pairs(f0)
         state.eta_e_sum = np.zeros(batch)
         if grads:
             w = state.sign0.copy()
-            extra = np.empty((batch, self.ke.size))
-        else:
-            state.eta_e = np.empty((self.ke.size, batch, n_line)).transpose(1, 0, 2)
-        for sl, eta, sign in self.line_outage_blocks(f0, signs=grads):
-            state.eta_e_sum += eta.sum((-2, -1))
-            if grads:
-                w += sign.sum(-2)   # integer-valued: exact in any order
-                extra[:, sl] = (sign * self.lodf_ke[sl]).sum(-1)
+            extra = np.zeros((batch, self.ke.size))
+        elif serving:
+            # memory in the order of the blocks' writes: outage-major for the
+            # dense blocks, pair-major for the gathered ones
+            if pairs is None:
+                store = np.empty((self.ke.size, batch, n_line))
+                state.eta_e = store.transpose(1, 0, 2)
             else:
-                state.eta_e[:, sl] = eta
+                store = np.zeros((self.ke.size, n_line, batch))
+                state.eta_e = store.transpose(2, 0, 1)
+        for where, eta, sign in self.line_outage_blocks(f0, grads, pairs):
+            if pairs is None:   # where: a slice of outages, with every line
+                state.eta_e_sum += eta.sum((-2, -1))
+                if grads:
+                    w += sign.sum(-2)   # integer-valued: exact in any order
+                    extra[:, where] = (sign * self.lodf_ke[where]).sum(-1)
+                elif serving:
+                    state.eta_e[:, where] = eta
+            else:               # where: the outages and lines of kept pairs
+                state.eta_e_sum += eta.sum(0)
+                if grads:
+                    # few signs are nonzero: sum those alone
+                    at, rows = np.divmod(np.flatnonzero(sign), batch)
+                    nz, outages, lines = sign[at, rows], where[0][at], where[1][at]
+                    w += _scatter_sum(rows, lines, nz, w.shape)
+                    nz *= self.lodf_ke[outages, lines]
+                    extra += _scatter_sum(rows, outages, nz, extra.shape)
+                elif serving:
+                    store[where] = eta
         if grads:
             # the LODF term on the outaged columns goes last, so the weights
             # do not depend on the blocking
             w[:, self.ke] += extra
             state.weights = w
 
-    def line_outage_blocks(self, f0: np.ndarray, signs: bool = True):
-        """Thermal slacks of the screened line outages at base flows f0
-        (B, n_line), one block of outages at a time: yields (outage slice,
-        slack, sign) with arrays (B, outages in the block, n_line), the
-        outaged line's own entry zero, and sign None unless signs.
+    def binding_pairs(self, f0: np.ndarray):
+        """The (outage, line) pairs whose post-outage slack can be nonzero in
+        some row of the base flows f0 (B, n_line), as (outage positions,
+        lines) in row-major order; None where the dense blocks run instead.
 
-        A block holds at most SLACK_BLOCK elements, or one outage when a
-        single one exceeds that, so memory does not grow with the outage
-        count.  This is the one place that forms post-outage flows.
+        Over the batch each line's flow lies in [lo, hi], so the post-outage
+        flow f0_l + f0_k L_kl lies in [lo_l + min(lo_k L, hi_k L),
+        hi_l + max(lo_k L, hi_k L)], evaluated in the same operation order.
+        Rounding is monotone, so a pair whose interval lies strictly inside
+        (flb_l, fub_l) has slack +0.0 and sign 0 in every row, bit for bit.
+        The strict test keeps a flow of -0.0 at a zero limit, whose dense
+        slack can be -0.0; a NaN or inf fails it and keeps the pair.
         """
+        batch, n_line = f0.shape
+        n_ke = self.ke.size
+        if batch * n_ke * n_line <= SLACK_BLOCK:
+            # one dense block: at batch 1 on a 210-line mesh the screen took
+            # 0.6-0.8 ms, the dense block 0.15-0.2 ms without signs
+            return None
+        lo, hi = f0.min(0), f0.max(0)
+        reach_lo = lo[self.ke, None] * self.lodf_ke
+        reach_hi = hi[self.ke, None] * self.lodf_ke
+        top = np.maximum(reach_lo, reach_hi)
+        top += hi
+        bottom = np.minimum(reach_lo, reach_hi, out=reach_lo)
+        bottom += lo
+        clear = top < self.fub
+        clear &= bottom > self.flb
+        clear[np.arange(n_ke), self.ke] = True   # the outaged line's own entry is zero
+        keep = np.logical_not(clear, out=clear)
+        if np.count_nonzero(keep) > PAIR_SHARE * keep.size:
+            return None
+        return np.nonzero(keep)
+
+    def line_outage_blocks(self, f0: np.ndarray, signs: bool = True, pairs=None):
+        """Thermal slacks of the screened line outages at base flows f0
+        (B, n_line), one block at a time: yields (where, slack, sign), with
+        sign None unless signs.
+
+        Dense, when pairs is None: where is a slice of outage positions and
+        the arrays are (B, outages in the block, n_line), the outaged line's
+        own entry zero.  Gathered, with pairs from ``binding_pairs``: where
+        is (outage positions, lines) of a run of the pairs, and the arrays
+        are (pairs in the block, B); every other pair's slack is zero.
+
+        A block holds at most SLACK_BLOCK elements, or one outage (one pair)
+        when a single one exceeds that, so memory does not grow with the
+        outage count.  This is the one place that forms post-outage flows.
+        """
+        batch = f0.shape[0]
+        if pairs is not None:
+            f0t = np.ascontiguousarray(f0.T)   # gathers of contiguous rows
+            step = max(1, SLACK_BLOCK // max(batch, 1))
+            for lo in range(0, pairs[0].size, step):
+                outages, lines = where = pairs[0][lo:lo + step], pairs[1][lo:lo + step]
+                # in place, with the dense form's operations and rounding
+                post = f0t[self.ke[outages]]
+                post *= self.lodf_ke[where][:, None]
+                post += f0t[lines]
+                eta, sign = thermal_slacks(post, self.flb[lines, None], self.fub[lines, None],
+                                           signs, overwrite=True)
+                yield where, eta, sign
+            return
         step = max(1, SLACK_BLOCK // max(f0.size, 1))
         for lo in range(0, self.ke.size, step):
             sl = slice(lo, lo + step)
             ke, lodf = self.ke[sl], self.lodf_ke[sl]
-            post = f0[:, None, :] + f0[:, ke, None] * lodf[None, :, :]
-            eta, sign = self.slack_and_sign(post, signs)
+            post = f0[:, ke, None] * lodf[None, :, :]
+            post += f0[:, None, :]
+            eta, sign = thermal_slacks(post, self.flb, self.fub, signs, overwrite=True)
             rows = np.arange(ke.size)
             eta[:, rows, ke] = 0.0
             if signs:
@@ -376,19 +498,9 @@ class PrimalPipeline:
             yield sl, eta, sign
 
     def slack_and_sign(self, f: np.ndarray, signs: bool = True):
-        """Thermal slacks max(0, f - fub, flb - f) of flows f, and their sign
-        pattern (+1 over the upper limit, -1 under the lower, else 0; None
-        unless signs)."""
-        over = f - self.fub
-        under = self.flb - f
-        eta = np.maximum(over, under)
-        np.maximum(0.0, eta, out=eta)
-        if not signs:
-            return eta, None
-        # in place: one temporary fewer at the peak of the training pass
-        sign = np.where(over > 0, 1.0, 0.0)
-        sign += np.where(under > 0, -1.0, 0.0)
-        return eta, sign
+        """Thermal slacks and sign patterns of flows f (..., n_line) against
+        the line limits (see ``thermal_slacks``)."""
+        return thermal_slacks(f, self.flb, self.fub, signs)
 
     def slack_total(self, state: PipelineState) -> np.ndarray:
         return state.eta0.sum(-1) + state.eta_g.sum((-2, -1)) + state.eta_e_sum

@@ -50,7 +50,7 @@ def oracle_objective(g, inst: Instance, pipe: PrimalPipeline) -> np.ndarray:
     """
     g = np.atleast_2d(np.asarray(g, float))
     state = pipe.evaluate_dispatch(g, np.broadcast_to(inst.d, (g.shape[0], inst.d.size)),
-                                   np.broadcast_to(inst.gub, g.shape), with_slacks="sums")
+                                   np.broadcast_to(inst.gub, g.shape), with_slacks="totals")
     obj = pipe.objective(state, np.broadcast_to(inst.c, g.shape))
     if state.h.shape[-1]:
         infeasible = np.abs(state.h).max(-1) > BALANCE_TOL

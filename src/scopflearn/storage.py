@@ -15,6 +15,7 @@ never embed timestamps, so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -59,6 +60,16 @@ def write_blob(path, magic: bytes, meta: dict, arrays: list, flags: int = 0) -> 
             fh.write(np.ascontiguousarray(arr).tobytes())
 
 
+@contextlib.contextmanager
+def _metadata_of(path):
+    """Reads of a blob's metadata: what a corrupt block raises there (bad
+    JSON or UTF-8, a missing key, a malformed value) becomes a DataError."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"corrupt metadata in {path}: {exc!r}") from exc
+
+
 def read_blob(path, magic: bytes, into=None):
     """Metadata, arrays and flags of a blob.  Each array is read straight
     into its destination: into(meta) gives one array per stored name, of the
@@ -76,21 +87,27 @@ def read_blob(path, magic: bytes, into=None):
             size = os.fstat(fh.fileno()).st_size
             if 24 + meta_len > size:
                 raise DataError(f"truncated blob {path}")
-            meta = json.loads(fh.read(meta_len).decode())
-            specs = meta["arrays"]
-            if 24 + meta_len + sum(np.dtype(spec["dtype"]).itemsize * math.prod(spec["shape"])
-                                   for spec in specs) > size:
-                raise DataError(f"truncated blob {path}")
-            arrays = into(meta) if into else {
-                spec["name"]: np.empty(spec["shape"], spec["dtype"]) for spec in specs}
-            if sorted(spec["name"] for spec in specs) != sorted(arrays):
-                raise DataError(f"stored arrays of {path} are not the expected ones")
-            for spec in specs:
-                out = arrays[spec["name"]]
-                if out.shape != tuple(spec["shape"]) or out.dtype != np.dtype(spec["dtype"]):
-                    raise DataError(f"stored array {spec['name']!r} {spec['dtype']}"
-                                    f"{tuple(spec['shape'])} and its destination {out.dtype}"
-                                    f"{out.shape} do not match in {path}")
+            with _metadata_of(path):
+                meta = json.loads(fh.read(meta_len).decode())
+                specs = [(spec["name"], np.dtype(spec["dtype"]), tuple(spec["shape"]))
+                         for spec in meta["arrays"]]
+                if any(dtype.hasobject for _, dtype, _ in specs):
+                    raise DataError(f"stored arrays of {path} hold Python objects")
+                need = 24 + meta_len + sum(dtype.itemsize * math.prod(shape)
+                                           for _, dtype, shape in specs)
+                if need > size:
+                    raise DataError(f"truncated blob {path}")
+                if need < size:
+                    raise DataError(f"{path} holds {size - need} bytes beyond its arrays")
+                arrays = into(meta) if into else {
+                    name: np.empty(shape, dtype) for name, dtype, shape in specs}
+                if sorted(name for name, _, _ in specs) != sorted(arrays):
+                    raise DataError(f"stored arrays of {path} are not the expected ones")
+            for name, dtype, shape in specs:
+                out = arrays[name]
+                if out.shape != shape or out.dtype != dtype:
+                    raise DataError(f"stored array {name!r} {dtype.str}{shape} and its "
+                                    f"destination {out.dtype}{out.shape} do not match in {path}")
                 if fh.readinto(out) != out.nbytes:
                     raise DataError(f"truncated blob {path}")
     except OSError as exc:
@@ -154,19 +171,24 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    meta, arrays, flags = read_blob(path, DATASET_MAGIC)
+    # each array is read into the dtype write_dataset stores, so a stored
+    # dtype that differs (another byte order, say) is refused, not decoded
+    meta, arrays, flags = read_blob(path, DATASET_MAGIC, lambda meta: {
+        spec["name"]: np.empty(spec["shape"], "<u8" if spec["name"] == "seeds" else "<f8")
+        for spec in meta["arrays"]})
     labeled = bool(flags & FLAG_LABELED)
-    return Dataset(
-        case_name=meta["case"],
-        seed=int(meta["seed"]),
-        d=arrays["d"],
-        c=arrays["c"],
-        gub=arrays["gub"],
-        seeds=arrays["seeds"],
-        g_star=arrays["g_star"] if labeled else None,
-        obj_star=arrays["obj_star"] if labeled else None,
-        tol_certificate=arrays["tol_certificate"] if labeled else None,
-    )
+    with _metadata_of(path):
+        return Dataset(
+            case_name=meta["case"],
+            seed=int(meta["seed"]),
+            d=arrays["d"],
+            c=arrays["c"],
+            gub=arrays["gub"],
+            seeds=arrays["seeds"],
+            g_star=arrays["g_star"] if labeled else None,
+            obj_star=arrays["obj_star"] if labeled else None,
+            tol_certificate=arrays["tol_certificate"] if labeled else None,
+        )
 
 
 def dataset_from_instances(case_name: str, seed: int, instances: list[Instance]) -> Dataset:
@@ -260,16 +282,17 @@ def load_checkpoint(path) -> Checkpoint:
         return arrays
 
     meta, _, _ = read_blob(path, CHECKPOINT_MAGIC, into)
-    primal, primal_adam = nets["primal"]
-    dual, dual_adam = nets.get("dual", (None, None))
-    return Checkpoint(
-        method=meta["method"],
-        case_name=meta["case"],
-        dim_x=int(meta["dim_x"]),
-        n_gen=int(meta["n_gen"]),
-        primal=primal,
-        primal_adam=primal_adam,
-        dual=dual,
-        dual_adam=dual_adam,
-        trainer=meta.get("trainer") or {},
-    )
+    with _metadata_of(path):
+        primal, primal_adam = nets["primal"]
+        dual, dual_adam = nets.get("dual", (None, None))
+        return Checkpoint(
+            method=meta["method"],
+            case_name=meta["case"],
+            dim_x=int(meta["dim_x"]),
+            n_gen=int(meta["n_gen"]),
+            primal=primal,
+            primal_adam=primal_adam,
+            dual=dual,
+            dual_adam=dual_adam,
+            trainer=meta.get("trainer") or {},
+        )

@@ -169,7 +169,7 @@ def max_violation(pipe: PrimalPipeline, primal: MlpParams, data: "_Stacked"):
     for lo in range(0, data.n, EVAL_CHUNK):
         sl = slice(lo, lo + EVAL_CHUNK)
         z, _ = mlp_forward(primal, data.x[sl])
-        st = pipe.forward(z, data.d[sl], data.gub[sl], with_slacks="sums")
+        st = pipe.forward(z, data.d[sl], data.gub[sl], with_slacks="totals")
         h[sl] = st.h
         total += float(pipe.objective(st, data.c[sl]).sum())
     # a NaN would make v_k NaN, and the penalty update never grows rho on it

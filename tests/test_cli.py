@@ -94,6 +94,19 @@ def test_inspect_requires_target():
     assert run(["inspect"]) == 2
 
 
+def test_inspect_corrupt_metadata_exits_3(tmp_path, capsys):
+    data = tmp_path / "d.bin"
+    assert run(["gen", "--case", "triangle3", "--n", "5", "--seed", "2",
+                "--out", str(data)]) == 0
+    whole = data.read_bytes()
+    # one flipped byte of the metadata block: its opening brace
+    assert whole[24:25] == b"{"
+    data.write_bytes(whole[:24] + b"\xfb" + whole[25:])
+    capsys.readouterr()
+    assert run(["inspect", "--dataset", str(data)]) == 3
+    assert "corrupt metadata" in capsys.readouterr().err
+
+
 def test_oracle_refuses_large_case(tmp_path):
     # six-generator case: refused with a data error
     from scopflearn.grid import GridCase

@@ -452,13 +452,21 @@ def test_pipeline_objective_matches_scopf_eval(m5_case, m5_factors, m5_cont):
 
 
 # ---------------------------------------------------------------------------
-# line-outage slacks: blocked reductions against per-outage arrays
+# line-outage slacks: blocked reductions and the pair screen against
+# per-outage arrays
 
-def _mesh_request(case, n_rows, seed):
+# the gathered pairs sum fewer terms in another order than the dense blocks,
+# so their sums agree with the per-outage reference to this share of the sum
+# of the absolute terms (a float64 sum of a few thousand terms moves by a few
+# ulps of that sum)
+PAIR_SUM_RTOL = 1e-12
+
+
+def _mesh_request(case, n_rows, seed, scale=1.5):
     factors = build_factors(case)
     pipe = PrimalPipeline(case, factors, screen_contingencies(case, factors))
     rng = np.random.default_rng(seed)
-    z = rng.normal(scale=1.5, size=(n_rows, case.n_gen))
+    z = rng.normal(scale=scale, size=(n_rows, case.n_gen))
     d = case.d0 * rng.uniform(0.9, 1.1, (n_rows, case.n_load))
     gub = np.broadcast_to(case.gub0, (n_rows, case.n_gen))
     c = case.c0 * rng.uniform(0.9, 1.1, (n_rows, case.n_gen))
@@ -467,7 +475,8 @@ def _mesh_request(case, n_rows, seed):
 
 def _per_outage_reference(pipe, f0):
     """Line-outage slacks, signs and objective-gradient weights at base flows
-    f0 from the whole (B, n_ke, n_line) post-outage flow array at once."""
+    f0 from the whole (B, n_ke, n_line) post-outage flow array at once, and
+    the sum of the absolute terms of each weight."""
     def slack_and_sign(f):
         over, under = f - pipe.fub, pipe.flb - f
         return (np.maximum(0.0, np.maximum(over, under)),
@@ -479,33 +488,45 @@ def _per_outage_reference(pipe, f0):
     eta[:, rows, pipe.ke] = 0.0
     sign[:, rows, pipe.ke] = 0.0
     w = slack_and_sign(f0)[1]
+    w_abs = np.abs(w) + np.abs(sign).sum(-2)
     w += sign.sum(-2)
     w[:, pipe.ke] += (sign * pipe.lodf_ke[None, :, :]).sum(-1)
-    return eta, sign, w
+    w_abs[:, pipe.ke] += np.abs(sign * pipe.lodf_ke[None, :, :]).sum(-1)
+    return eta, sign, w, w_abs
 
 
 def _check_slack_modes(pipe, z, d, gub, c):
-    """Serving and training slacks of one request against the per-outage
-    reference; returns the reference slacks and signs."""
+    """Serving, training and evaluation slacks of one request against the
+    per-outage reference; returns the reference slacks and signs."""
     full = pipe.forward(z, d, gub)
     sums = pipe.forward(z, d, gub, with_slacks="sums")
-    assert full.f0.tobytes() == sums.f0.tobytes()
-    eta_ref, sign_ref, w_ref = _per_outage_reference(pipe, full.f0)
+    totals = pipe.forward(z, d, gub, with_slacks="totals")
+    assert full.f0.tobytes() == sums.f0.tobytes() == totals.f0.tobytes()
+    eta_ref, sign_ref, w_ref, w_abs = _per_outage_reference(pipe, full.f0)
     # serving: every per-outage slack, and no sign pattern to form
     assert full.eta_e.shape == eta_ref.shape and full.eta_e.tobytes() == eta_ref.tobytes()
     assert all(getattr(full, name) is None
                for name in ("sign0", "sign_g", "sign_e", "weights"))
     with pytest.raises(ConfigError):
         pipe.objective_grads(full, c)
-    # training: the slack total and the gradient weights, no per-outage array
+    # training: the slack total and the gradient weights, no per-outage array;
+    # bytewise where the dense blocks run
     assert sums.eta_e is None and sums.sign_e is None
-    assert sums.weights.tobytes() == w_ref.tobytes()
+    if pipe.binding_pairs(full.f0) is None:
+        assert sums.weights.tobytes() == w_ref.tobytes()
+    else:
+        assert np.all(np.abs(sums.weights - w_ref) <= PAIR_SUM_RTOL * w_abs)
     grad_gtilde, _ = pipe.objective_grads(sums, c)
-    assert np.array_equal(grad_gtilde, c - pipe.Pi * (w_ref @ pipe.phi_gen))
-    # both modes sum the blocks in the same order
-    assert np.allclose(sums.eta_e_sum, eta_ref.sum((-2, -1)), rtol=1e-12, atol=0)
-    assert full.eta_e_sum.tobytes() == sums.eta_e_sum.tobytes()
-    assert np.array_equal(pipe.objective(full, c), pipe.objective(sums, c))
+    assert np.array_equal(grad_gtilde, c - pipe.Pi * (sums.weights @ pipe.phi_gen))
+    # evaluation: the totals alone, byte-equal to the other modes' totals
+    assert all(getattr(totals, name) is None
+               for name in ("sign0", "sign_g", "sign_e", "eta_e", "weights"))
+    eta_sum = eta_ref.sum((-2, -1))
+    assert np.allclose(sums.eta_e_sum, eta_sum, rtol=PAIR_SUM_RTOL, atol=0, equal_nan=True)
+    for state in (full, totals):
+        assert state.eta_e_sum.tobytes() == sums.eta_e_sum.tobytes()
+        assert state.h.tobytes() == sums.h.tobytes()
+        assert pipe.objective(state, c).tobytes() == pipe.objective(sums, c).tobytes()
     return eta_ref, sign_ref
 
 
@@ -514,8 +535,9 @@ def test_blocked_line_slacks_match_per_outage_arrays(monkeypatch):
     pipe, z, d, gub, c = _mesh_request(case, 6, seed=5)
     assert pipe.ke.size == case.n_line == 55
     f0 = pipe.forward(z, d, gub).f0
-    # 6 x 55 x 55 elements fit the default budget: one block
+    # 6 x 55 x 55 elements fit the default budget: one block, and no screen
     assert len(list(pipe.line_outage_blocks(f0))) == 1
+    assert pipe.binding_pairs(f0) is None
     _check_slack_modes(pipe, z, d, gub, c)
     # ten outages per block: six blocks, the last one short
     monkeypatch.setattr(layers, "SLACK_BLOCK", 6 * 55 * 10)
@@ -524,6 +546,119 @@ def test_blocked_line_slacks_match_per_outage_arrays(monkeypatch):
     eta_ref, sign_ref = _check_slack_modes(pipe, z, d, gub, c)
     last = blocks[-1][0]
     assert eta_ref[:, last].sum() > 0 and np.abs(sign_ref[:, last]).sum() > 0
+
+
+def _check_pair_blocks(pipe, f0):
+    """The gathered blocks of the screened pairs, scattered into per-outage
+    arrays, equal the reference bytewise: every pruned pair has slack +0.0
+    and sign 0 in every row.  Returns the number of blocks."""
+    pairs = pipe.binding_pairs(f0)
+    assert pairs is not None
+    eta_ref, sign_ref, _, _ = _per_outage_reference(pipe, f0)
+    eta, sign = np.zeros_like(eta_ref), np.zeros_like(sign_ref)
+    blocks = 0
+    for (outages, lines), block_eta, block_sign in pipe.line_outage_blocks(f0, True, pairs):
+        eta[:, outages, lines] = block_eta.T
+        sign[:, outages, lines] = block_sign.T
+        blocks += 1
+    assert eta.tobytes() == eta_ref.tobytes()
+    assert sign.tobytes() == sign_ref.tobytes()
+    return blocks
+
+
+def _forced_pairs(monkeypatch, n_rows):
+    """Gathered blocks of 64 pairs wherever the screen runs."""
+    monkeypatch.setattr(layers, "SLACK_BLOCK", 64 * n_rows)
+    monkeypatch.setattr(layers, "PAIR_SHARE", 1.0)
+
+
+@pytest.mark.parametrize("n_rows", [8, 32, 128])
+def test_pair_screen_is_exact_on_random_batches(monkeypatch, n_rows):
+    case = make_ring_mesh(grid_seed=3, n_bus=40, n_chords=15, n_gen=5, n_load=20)
+    pipe, z, d, gub, c = _mesh_request(case, n_rows, seed=n_rows, scale=0.3)
+    _forced_pairs(monkeypatch, n_rows)
+    f0 = pipe.forward(z, d, gub, with_slacks="totals").f0
+    outages, _ = pipe.binding_pairs(f0)
+    assert 0 < outages.size < 0.9 * pipe.ke.size * case.n_line
+    assert _check_pair_blocks(pipe, f0) > 1
+    eta_ref, _ = _check_slack_modes(pipe, z, d, gub, c)
+    assert eta_ref.any()
+
+
+@pytest.mark.parametrize("n_rows", [8, 32, 128])
+def test_pair_screen_is_exact_at_the_limits(monkeypatch, n_rows):
+    """Limits placed exactly on post-outage flows (post == limit, a slack of
+    +0.0) and exactly on the screen's own interval bounds."""
+    case = make_ring_mesh(grid_seed=3, n_bus=40, n_chords=15, n_gen=5, n_load=20)
+    pipe, z, d, gub, c = _mesh_request(case, n_rows, seed=n_rows, scale=0.3)
+    f0 = pipe.forward(z, d, gub, with_slacks="totals").f0
+    post = f0[:, None, :] + f0[:, pipe.ke, None] * pipe.lodf_ke[None, :, :]
+    post[:, np.arange(pipe.ke.size), pipe.ke] = 0.0
+    rng = np.random.default_rng(n_rows)
+    fub, flb = case.fub.copy(), case.flb.copy()
+    lines = rng.permutation(case.n_line)
+    for line in lines[:10]:   # the largest and smallest post-outage flows
+        fub[line] = max(post[:, :, line].max(), 0.0)
+        flb[line] = min(post[:, :, line].min(), 0.0)
+    lo, hi = f0.min(0), f0.max(0)
+    for line in lines[10:30]:   # one outage's interval bounds, as the screen forms them
+        k = rng.integers(pipe.ke.size)
+        reach = lo[pipe.ke[k]] * pipe.lodf_ke[k, line], hi[pipe.ke[k]] * pipe.lodf_ke[k, line]
+        fub[line] = max(hi[line] + max(reach), 0.0)
+        flb[line] = min(lo[line] + min(reach), 0.0)
+    for line in lines[30:40]:   # one step inside the extreme flows: the slack is an ulp
+        fub[line] = max(np.nextafter(post[:, :, line].max(), 0.0), 0.0)
+        flb[line] = min(np.nextafter(post[:, :, line].min(), 0.0), 0.0)
+    pipe, *_ = _mesh_request(dataclasses.replace(case, fub=fub, flb=flb), n_rows, seed=n_rows)
+    _forced_pairs(monkeypatch, n_rows)
+    assert _check_pair_blocks(pipe, f0) > 1
+    eta_ref, sign_ref = _check_slack_modes(pipe, z, d, gub, c)
+    at_limit = (post == fub) | (post == flb)
+    at_limit[:, np.arange(pipe.ke.size), pipe.ke] = False
+    assert at_limit.sum() >= 10
+    assert not eta_ref[at_limit].any() and not sign_ref[at_limit].any()
+    tiny = (eta_ref > 0) & (eta_ref < 1e-12)
+    assert tiny.sum() >= 10 and np.abs(sign_ref[tiny]).min() == 1
+
+
+@pytest.mark.parametrize("n_rows", [8, 32, 128])
+def test_pair_screen_keeps_a_nan_row(monkeypatch, n_rows):
+    from scopflearn import training
+    from scopflearn.errors import DivergenceError
+
+    case = make_ring_mesh(grid_seed=3, n_bus=40, n_chords=15, n_gen=5, n_load=20)
+    pipe, z, d, gub, c = _mesh_request(case, n_rows, seed=n_rows, scale=0.3)
+    z[n_rows // 2] = np.nan
+    _forced_pairs(monkeypatch, n_rows)
+    f0 = pipe.forward(z, d, gub, with_slacks="totals").f0
+    assert np.isnan(f0[n_rows // 2]).all()
+    assert _check_pair_blocks(pipe, f0) > 1
+    _check_slack_modes(pipe, z, d, gub, c)
+    for mode in ("sums", "totals", True):
+        total = pipe.slack_total(pipe.forward(z, d, gub, with_slacks=mode))
+        assert np.isnan(total).tolist() == [i == n_rows // 2 for i in range(n_rows)]
+    # the evaluation pass sees the NaN
+    x = np.zeros((n_rows, 2 * case.n_gen + case.n_load))
+    x[n_rows // 2] = np.nan
+    primal, _ = training.build_networks(case, pipe.cont, x.shape[1], 0, False)
+    data = training._Stacked(x=x, d=d, c=c, gub=np.array(gub))
+    with pytest.raises(DivergenceError):
+        training.max_violation(pipe, primal, data)
+
+
+def test_pair_screen_gives_way_to_the_dense_blocks(monkeypatch):
+    case = make_ring_mesh(grid_seed=3, n_bus=40, n_chords=15, n_gen=5, n_load=20)
+    pipe, z, d, gub, _ = _mesh_request(case, 64, seed=1, scale=0.3)
+    f0 = pipe.forward(z, d, gub, with_slacks="totals").f0
+    # 64 x 55 x 55 elements exceed one block, and few pairs can bind
+    outages, _ = pipe.binding_pairs(f0)
+    share = outages.size / (pipe.ke.size * case.n_line)
+    assert 0 < share < layers.PAIR_SHARE
+    # where the screen keeps more than PAIR_SHARE, the dense blocks run
+    monkeypatch.setattr(layers, "PAIR_SHARE", share / 2)
+    assert pipe.binding_pairs(f0) is None
+    # one block's work runs dense without a screen
+    assert pipe.binding_pairs(f0[:1]) is None
 
 
 def test_line_slacks_without_line_outages():

@@ -119,6 +119,60 @@ def test_corrupt_files_rejected(tmp_path, m5_case, m5_cont):
         load_checkpoint(p)
 
 
+def _with_metadata(whole: bytes, meta: bytes) -> bytes:
+    """A blob's bytes with its metadata block replaced."""
+    old_len = int.from_bytes(whole[16:24], "little")
+    return whole[:16] + len(meta).to_bytes(8, "little") + meta + whole[24 + old_len:]
+
+
+def test_corrupt_metadata_is_a_data_error(tmp_path, m5_case, m5_cont):
+    p = tmp_path / "d.bin"
+    write_dataset(p, _dataset(m5_case, m5_cont, n=3))
+    whole = p.read_bytes()
+    meta = whole[24:24 + int.from_bytes(whole[16:24], "little")]
+    spec = b'{"dtype":"<f8","name":"d","shape":[3,3]}'
+    assert spec in meta
+    bad = {
+        "json": meta[:-1],
+        "utf-8": b"\xff" + meta[1:],
+        "not an object": b"[1,2]",
+        "no arrays": meta.replace(b'"arrays"', b'"arrayz"'),
+        "arrays not a list": meta.replace(b'"arrays":[', b'"arrays":7,"x":[', 1),
+        "spec without shape": meta.replace(spec, b'{"dtype":"<f8","name":"d"}'),
+        "shape not a list": meta.replace(spec, b'{"dtype":"<f8","name":"d","shape":9}'),
+        "shape of strings": meta.replace(spec, b'{"dtype":"<f8","name":"d","shape":["a"]}'),
+        "negative shape": meta.replace(spec, b'{"dtype":"<f8","name":"d","shape":[-3,-3]}'),
+        "unknown dtype": meta.replace(spec, b'{"dtype":"<q9","name":"d","shape":[3,3]}'),
+        "byte order": meta.replace(spec, b'{"dtype":">f8","name":"d","shape":[3,3]}'),
+        "object dtype": meta.replace(spec, b'{"dtype":"|O","name":"d","shape":[3,3]}'),
+        "name not hashable": meta.replace(spec, b'{"dtype":"<f8","name":[],"shape":[3,3]}'),
+        "shorter shape": meta.replace(spec, b'{"dtype":"<f8","name":"d","shape":[3,2]}'),
+        "no case": meta.replace(b'"case"', b'"cass"'),
+    }
+    for what, block in bad.items():
+        assert block != meta, what
+        p.write_bytes(_with_metadata(whole, block))
+        with pytest.raises(DataError):
+            read_dataset(p)
+    # every single flipped byte of a dataset's or a checkpoint's metadata
+    # either still reads or is a DataError
+    q = tmp_path / "c.ckpt"
+    primal = init_mlp((4, 6, 2), np.random.default_rng(47))
+    save_checkpoint(q, Checkpoint(method="pdl", case_name="t", dim_x=4, n_gen=2,
+                                  primal=primal, primal_adam=AdamState.for_params(primal),
+                                  dual=primal, dual_adam=AdamState.for_params(primal)))
+    p.write_bytes(whole)
+    for path, read in ((p, read_dataset), (q, load_checkpoint)):
+        blob = path.read_bytes()
+        for i in range(24, 24 + int.from_bytes(blob[16:24], "little")):
+            for flip in (0x01, 0x20, 0xFF):
+                path.write_bytes(blob[:i] + bytes([blob[i] ^ flip]) + blob[i + 1:])
+                try:
+                    read(path)
+                except DataError:
+                    pass
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(43)
     primal = init_mlp((6, 9, 9, 3), rng, use_layernorm=True)

@@ -79,11 +79,13 @@ def test_slack_bytes_hook_reads_every_slack_mode(m5_case, m5_factors, m5_cont):
     d = np.broadcast_to(m5_case.d0, (4, m5_case.n_load))
     gub = np.broadcast_to(m5_case.gub0, z.shape)
     counts = {}
-    for mode in (True, "sums", False):
+    for mode in (True, "sums", "totals", False):
         state = pipe.forward(z, d, gub, with_slacks=mode)
         counts[mode] = tracing._slack_bytes((z, d, gub), {"with_slacks": mode}, state)
-    # serving keeps the per-outage slacks, training their sums and signs
+    # serving keeps the per-outage slacks, training their sums and signs, the
+    # evaluation pass the base-case and generator-outage slacks alone
     n_line, n_ke, n_kg = m5_case.n_line, pipe.ke.size, pipe.kg.size
     assert counts[True] == 8 * n_line * (1 + n_kg + n_ke)
     assert counts["sums"] == 2 * 8 * n_line * (1 + n_kg)
+    assert counts["totals"] == 8 * n_line * (1 + n_kg)
     assert counts[False] == 0
