@@ -36,10 +36,7 @@ from .training import (
     TrainResult,
     max_violation,
     train,
-    train_ld,
-    train_naive,
     train_pdl,
-    train_penalty,
     update_penalty,
 )
 

@@ -18,6 +18,7 @@ import numpy as np
 from .cases import BUILTIN_CASES, get_case
 from .errors import ConfigError, DataError, DivergenceError, ScopflearnError
 from .grid import GridCase, build_factors, load_case, screen_contingencies
+from .layers import BISECT_ITERS
 from .oracle import label_dataset, oracle_solve
 from .report import evaluate_model, write_report_csv, write_training_log_csv
 from .sampling import PerturbationConfig, sample_dataset
@@ -56,6 +57,8 @@ def _grid_context(spec: str):
 # subcommands
 
 def cmd_gen(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     case, factors, cont = _grid_context(args.case)
     pcfg = PerturbationConfig(mu=args.mu, load_corr=args.load_corr,
                               factor_corr=args.factor_corr, seed=args.seed)
@@ -179,14 +182,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     case, factors, cont = _grid_context(args.case)
     ckpt = load_checkpoint(args.checkpoint)
-    bisect_iters = ckpt.trainer.get("bisect_iters", 25)
-    if type(bisect_iters) is not int:
-        raise DataError(f"checkpoint bisect_iters must be an integer, got {bisect_iters!r}")
     dataset = read_dataset(args.dataset)
     instances = dataset.instances(case)
     report = evaluate_model(case, factors, cont, ckpt.primal, instances,
                             obj_star=dataset.obj_star if dataset.labeled else None,
-                            bisect_iters=bisect_iters)
+                            bisect_iters=ckpt.trainer.get("bisect_iters", BISECT_ITERS))
     if args.out:
         write_report_csv(report, args.out)
     for line in report.summary_lines(mva=args.mva):
@@ -214,15 +214,18 @@ def cmd_inspect(args) -> int:
         ds = read_dataset(args.dataset)
         scale = args.mva if args.mva else 1.0
         unit = "MW" if args.mva else "p.u."
-        totals = ds.d.sum(-1)
         print(f"dataset {args.dataset}: {ds.n} instances of case {ds.case_name} "
               f"(seed {ds.seed}, labeled: {ds.labeled})")
-        print(f"  total demand range: [{totals.min() * scale:.3f}, "
-              f"{totals.max() * scale:.3f}] {unit}")
-        if ds.labeled:
-            ok = np.isfinite(ds.obj_star)
-            print(f"  labels: {int(ok.sum())}/{ds.n} feasible, "
-                  f"mean reference objective {np.nanmean(ds.obj_star):.2f} $")
+        if not ds.n:
+            print("  it holds no instances")
+        else:
+            totals = ds.d.sum(-1)
+            print(f"  total demand range: [{totals.min() * scale:.3f}, "
+                  f"{totals.max() * scale:.3f}] {unit}")
+            if ds.labeled:
+                ok = np.isfinite(ds.obj_star)
+                print(f"  labels: {int(ok.sum())}/{ds.n} feasible, "
+                      f"mean reference objective {np.nanmean(ds.obj_star):.2f} $")
         shown = True
     if args.checkpoint:
         ck = load_checkpoint(args.checkpoint)

@@ -46,6 +46,10 @@ from .errors import ConfigError
 from .grid import ContingencySet, GridCase, LinearFactors
 
 DEGENERATE_TOL = 1e-12
+# bisection iterations: the default, and the most that help, since beyond 52
+# the search step falls below the response signal's last bit
+BISECT_ITERS = 25
+MAX_BISECT_ITERS = 52
 # elements of one float64 temporary in the line-outage slack loop (512 KB);
 # a block holds at least one outage, however large the batch
 SLACK_BLOCK = 1 << 16
@@ -107,14 +111,16 @@ def bound_map_vjp(grad_gcheck: np.ndarray, sig: np.ndarray, glb: np.ndarray,
 
 @dataclass
 class RepairContext:
+    """The branch the forward pass took: its blend target (gub or glb), the
+    blend denominator (1.0 where degenerate) and blend weight zeta."""
     gcheck: np.ndarray
-    glb: np.ndarray
-    gub: np.ndarray
     d_total: np.ndarray
     s: np.ndarray
     zeta: np.ndarray
     deficit: np.ndarray
     degenerate: np.ndarray
+    target: np.ndarray
+    denom: np.ndarray
 
 
 def repair_layer(gcheck: np.ndarray, d_total, glb: np.ndarray, gub: np.ndarray):
@@ -143,8 +149,8 @@ def repair_layer(gcheck: np.ndarray, d_total, glb: np.ndarray, gub: np.ndarray):
     zeta = np.where(degenerate, 1.0, zeta)
     target = np.where(deficit[..., None], gub, glb)
     gtilde = (1.0 - zeta)[..., None] * gcheck + zeta[..., None] * target
-    ctx = RepairContext(gcheck=gcheck, glb=glb, gub=gub, d_total=d_total,
-                        s=s, zeta=zeta, deficit=deficit, degenerate=degenerate)
+    ctx = RepairContext(gcheck=gcheck, d_total=d_total, s=s, zeta=zeta, deficit=deficit,
+                        degenerate=degenerate, target=target, denom=denom_safe)
     return gtilde, ctx
 
 
@@ -152,22 +158,13 @@ def repair_layer_vjp(grad_gtilde: np.ndarray, ctx: RepairContext) -> np.ndarray:
     """Exact Jacobian of the branch taken in the forward pass.
 
     The Jacobian is (1 - zeta) I + u 1', where u carries the dependence of
-    zeta on the dispatch sum:
-      deficit:  u = (gub - g) (d - 1'gub) / (1'gub - 1'g)^2
-      surplus:  u = -(g - glb) (d - 1'glb) / (1'g - 1'glb)^2
+    zeta on the dispatch sum.  With the branch's target t (gub on a deficit,
+    glb on a surplus) and its denominator (1't - 1'g on a deficit, 1'g - 1't
+    on a surplus):
+      u = (t - g) (d - 1't) / denom^2
     """
-    s = ctx.s
-    total_ub = ctx.gub.sum(-1) * np.ones_like(s)
-    total_lb = ctx.glb.sum(-1) * np.ones_like(s)
-    denom = np.where(ctx.deficit, total_ub - s, s - total_lb)
-    denom = np.where(ctx.degenerate, 1.0, denom)
-    coef_up = (ctx.d_total - total_ub) / denom**2
-    coef_dn = (ctx.d_total - total_lb) / denom**2
-    u = np.where(
-        ctx.deficit[..., None],
-        (ctx.gub - ctx.gcheck) * coef_up[..., None],
-        -(ctx.gcheck - ctx.glb) * coef_dn[..., None],
-    )
+    coef = (ctx.d_total - ctx.target.sum(-1)) / ctx.denom**2
+    u = (ctx.target - ctx.gcheck) * coef[..., None]
     u = np.where(ctx.degenerate[..., None], 0.0, u)
     scale = np.where(ctx.degenerate, 0.0, 1.0 - ctx.zeta)
     rank_one = (grad_gtilde * u).sum(-1, keepdims=True)
@@ -177,7 +174,7 @@ def repair_layer_vjp(grad_gtilde: np.ndarray, ctx: RepairContext) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bisection on the global response signal
 
-def binary_search_batch(g, d_total, kg, gamma, ghat, gub, t: int = 25):
+def binary_search_batch(g, d_total, kg, gamma, ghat, gub, t: int = BISECT_ITERS):
     """Bisect the response signal n in [0, 1] so each post-outage dispatch
     balances the load, for a batch of dispatches and all generator
     contingencies at once, then emit the dispatches, signals and cap flags
@@ -193,8 +190,9 @@ def binary_search_batch(g, d_total, kg, gamma, ghat, gub, t: int = 25):
     g: (B, G); d_total: (B,); ghat, gub: (B, G); kg: contingency indices (K,).
     Returns gk (B, K, G), nk (B, K), rho (B, K, G).
     """
-    if not 1 <= t <= 52:
-        raise ConfigError(f"bisection iteration count must be in [1, 52], got {t}")
+    if not 1 <= t <= MAX_BISECT_ITERS:
+        raise ConfigError(
+            f"bisection iteration count must be in [1, {MAX_BISECT_ITERS}], got {t}")
     g = np.atleast_2d(np.asarray(g, float))
     gub = np.atleast_2d(np.asarray(gub, float))
     ghat = np.atleast_2d(np.asarray(ghat, float))
@@ -234,7 +232,7 @@ def binary_search_batch(g, d_total, kg, gamma, ghat, gub, t: int = 25):
             break   # the final midpoint was a candidate too
         # the next midpoint, n - step where e > 0, else n + step: the
         # bracket's exact midpoint, since every midpoint is dyadic, while the
-        # step stays above n's last bit (t <= 52)
+        # step stays above n's last bit (t <= MAX_BISECT_ITERS)
         np.greater(e, 0.0, out=mask)
         n += step
         np.subtract(n, 2.0 * step, out=n, where=mask)
@@ -296,7 +294,7 @@ class PrimalPipeline:
     grid, with the matching backward pass to raw network outputs."""
 
     def __init__(self, case: GridCase, factors: LinearFactors,
-                 cont: ContingencySet, t: int = 25):
+                 cont: ContingencySet, t: int = BISECT_ITERS):
         self.case = case
         self.cont = cont
         self.t = t

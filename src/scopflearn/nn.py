@@ -32,15 +32,22 @@ def _layout(sizes: tuple, use_layernorm: bool) -> tuple:
     return tuple(out)
 
 
+def param_count(sizes: tuple, use_layernorm: bool) -> int:
+    """Length of the flat buffer of a network of these sizes."""
+    layout = _layout(sizes, use_layernorm)
+    return layout[-1][3] if layout else 0
+
+
 @dataclass
 class MlpParams:
     """Per-layer weights/biases plus optional layer-norm affine parameters.
 
     ``sizes`` lists the widths including input and output; layer i maps
     sizes[i] -> sizes[i+1].  When layer norm is enabled it is applied to the
-    input of every affine layer.  Every array is a view, in ``named_arrays``
+    input of every affine layer.  Every array is a view, in ``shapes``
     order, of one contiguous float64 buffer ``flat`` (zeros unless given),
-    so Adam updates a network in one element-wise pass.
+    so Adam updates a network in one element-wise pass, and a checkpoint
+    stores the network as that one buffer.
     """
 
     sizes: tuple
@@ -49,7 +56,7 @@ class MlpParams:
 
     def __post_init__(self):
         if self.flat is None:
-            self.flat = np.zeros(sum(math.prod(shape) for _, shape in self.shapes()))
+            self.flat = np.zeros(param_count(self.sizes, self.use_layernorm))
         views = self.split(self.flat)
         per = 4 if self.use_layernorm else 2
         self.weights, self.biases = views[0::per], views[1::per]
@@ -61,7 +68,7 @@ class MlpParams:
         return len(self.weights)
 
     def shapes(self):
-        """Canonical (name, shape) ordering used by Adam and checkpoints."""
+        """(name, shape) of each array, in its order in ``flat``."""
         return [(name, shape) for name, shape, _, _ in _layout(self.sizes, self.use_layernorm)]
 
     def split(self, flat: np.ndarray) -> list:
@@ -69,9 +76,6 @@ class MlpParams:
         Adam moments), one per named array."""
         return [flat[lo:hi].reshape(shape)
                 for _, shape, lo, hi in _layout(self.sizes, self.use_layernorm)]
-
-    def named_arrays(self):
-        return [(name, a) for (name, _), a in zip(self.shapes(), self.arrays())]
 
     def arrays(self):
         return self.split(self.flat)

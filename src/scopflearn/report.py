@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DataError
 from .grid import ContingencySet, GridCase, LinearFactors
-from .layers import PrimalPipeline
+from .layers import BISECT_ITERS, PrimalPipeline
 from .nn import MlpParams, mlp_forward
 from .sampling import Instance
 
@@ -58,7 +58,7 @@ class EvalReport:
 def evaluate_model(case: GridCase, factors: LinearFactors, cont: ContingencySet,
                    primal: MlpParams, instances: list[Instance],
                    obj_star: np.ndarray | None = None,
-                   bisect_iters: int = 25) -> EvalReport:
+                   bisect_iters: int = BISECT_ITERS) -> EvalReport:
     """Run the full primal pipeline per instance and aggregate the metrics.
 
     Each instance is evaluated individually so the reported latency is the

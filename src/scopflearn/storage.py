@@ -27,11 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .nn import AdamState, MlpParams
+from .layers import BISECT_ITERS, MAX_BISECT_ITERS
+from .nn import AdamState, MlpParams, param_count
 from .sampling import Instance, input_vector
 
 DATASET_MAGIC = b"SCLDATA\x01"
-CHECKPOINT_MAGIC = b"SCLCKPT\x01"
+# format byte 2: one flat parameter buffer and two Adam moments per network
+CHECKPOINT_MAGIC = b"SCLCKPT\x02"
 CONTAINER_VERSION = 1
 FLAG_LABELED = 1
 
@@ -66,7 +68,7 @@ def _metadata_of(path):
     JSON or UTF-8, a missing key, a malformed value) becomes a DataError."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise DataError(f"corrupt metadata in {path}: {exc!r}") from exc
 
 
@@ -218,12 +220,17 @@ class Checkpoint:
     trainer: dict | None = None
 
 
+def _net_arrays(prefix: str, params: MlpParams, adam: AdamState) -> list:
+    """The three stored arrays of a network: its flat parameter buffer and
+    its two Adam moments.  The stored sizes and use_layernorm fix each
+    parameter's place in flat (nn._layout)."""
+    return [(f"{prefix}.flat", params.flat), (f"{prefix}.adam_m", adam.m),
+            (f"{prefix}.adam_v", adam.v)]
+
+
 def _pack_net(prefix: str, params: MlpParams, adam: AdamState, arrays: list) -> dict:
-    for name, arr in params.named_arrays():
-        arrays.append((f"{prefix}.{name}", arr.astype("<f8")))
-    for i, (m, v) in enumerate(zip(params.split(adam.m), params.split(adam.v))):
-        arrays.append((f"{prefix}.adam_m{i}", m.astype("<f8")))
-        arrays.append((f"{prefix}.adam_v{i}", v.astype("<f8")))
+    arrays += [(name, buf.astype("<f8", copy=False))
+               for name, buf in _net_arrays(prefix, params, adam)]
     return {
         "sizes": list(params.sizes),
         "use_layernorm": params.use_layernorm,
@@ -234,11 +241,18 @@ def _pack_net(prefix: str, params: MlpParams, adam: AdamState, arrays: list) -> 
     }
 
 
-def _unpack_net(prefix: str, spec: dict, arrays: dict) -> tuple[MlpParams, AdamState]:
+def _unpack_net(prefix: str, spec: dict, stored: dict,
+                arrays: dict) -> tuple[MlpParams, AdamState]:
     """One network whose parameter and Adam moment buffers are still to be
-    filled; adds to arrays the view of those buffers that each stored array
-    of the network is read into."""
-    params = MlpParams(sizes=tuple(spec["sizes"]), use_layernorm=spec["use_layernorm"])
+    filled; adds to arrays each buffer under the name it is stored at.
+    stored: the stored shape of each array."""
+    sizes, use_layernorm = tuple(spec["sizes"]), spec["use_layernorm"]
+    # refused before anything is allocated: unlike the stored shapes, the
+    # sizes are not bounded by the file's length
+    if stored[f"{prefix}.flat"] != [param_count(sizes, use_layernorm)]:
+        raise DataError(f"stored array {prefix}.flat of shape {stored[f'{prefix}.flat']} "
+                        f"and the network sizes {list(sizes)} do not match")
+    params = MlpParams(sizes=sizes, use_layernorm=use_layernorm)
     adam = AdamState(
         m=np.empty_like(params.flat),
         v=np.empty_like(params.flat),
@@ -247,11 +261,7 @@ def _unpack_net(prefix: str, spec: dict, arrays: dict) -> tuple[MlpParams, AdamS
         beta2=float(spec["adam_beta2"]),
         eps=float(spec["adam_eps"]),
     )
-    views = zip(params.named_arrays(), params.split(adam.m), params.split(adam.v))
-    for i, ((name, w), m, v) in enumerate(views):
-        arrays[f"{prefix}.{name}"] = w
-        arrays[f"{prefix}.adam_m{i}"] = m
-        arrays[f"{prefix}.adam_v{i}"] = v
+    arrays.update(_net_arrays(prefix, params, adam))
     return params, adam
 
 
@@ -272,20 +282,24 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """A checkpoint whose fields are checked: the primal network's sizes
+    match the stored dim_x and n_gen, and a stored bisection count is an
+    integer the pipeline accepts."""
     nets = {}
 
     def into(meta):
+        stored = {spec["name"]: spec["shape"] for spec in meta["arrays"]}
         arrays = {}
         for prefix, key in (("p", "primal"), ("d", "dual")):
             if key in meta:
-                nets[key] = _unpack_net(prefix, meta[key], arrays)
+                nets[key] = _unpack_net(prefix, meta[key], stored, arrays)
         return arrays
 
     meta, _, _ = read_blob(path, CHECKPOINT_MAGIC, into)
     with _metadata_of(path):
         primal, primal_adam = nets["primal"]
         dual, dual_adam = nets.get("dual", (None, None))
-        return Checkpoint(
+        ckpt = Checkpoint(
             method=meta["method"],
             case_name=meta["case"],
             dim_x=int(meta["dim_x"]),
@@ -296,3 +310,12 @@ def load_checkpoint(path) -> Checkpoint:
             dual_adam=dual_adam,
             trainer=meta.get("trainer") or {},
         )
+        bisect_iters = ckpt.trainer.get("bisect_iters", BISECT_ITERS)
+        if (ckpt.dim_x, ckpt.n_gen) != (primal.sizes[0], primal.sizes[-1]):
+            raise DataError(f"checkpoint dim_x {ckpt.dim_x} and n_gen {ckpt.n_gen} do not "
+                            f"match its primal sizes {list(primal.sizes)} in {path}")
+        # a bool is an int to Python, not to a reader of the file
+        if type(bisect_iters) is not int or not 1 <= bisect_iters <= MAX_BISECT_ITERS:
+            raise DataError(f"checkpoint bisect_iters must be an integer in "
+                            f"[1, {MAX_BISECT_ITERS}], got {bisect_iters!r} in {path}")
+    return ckpt

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
 from .grid import ContingencySet, GridCase, LinearFactors
-from .layers import PrimalPipeline
+from .layers import BISECT_ITERS, MAX_BISECT_ITERS, PrimalPipeline
 from .nn import (
     AdamState,
     MlpParams,
@@ -56,7 +56,7 @@ class TrainerConfig:
     obj_scale: float = 1e5
     lr: float = 1e-4
     seed: int = 0
-    bisect_iters: int = 25
+    bisect_iters: int = BISECT_ITERS
 
     def __post_init__(self):
         if not 0 < self.tau < 1:
@@ -68,8 +68,9 @@ class TrainerConfig:
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         # layers.binary_search_batch's precondition
-        if not 1 <= self.bisect_iters <= 52:
-            raise ConfigError(f"bisect_iters must be in [1, 52], got {self.bisect_iters}")
+        if not 1 <= self.bisect_iters <= MAX_BISECT_ITERS:
+            raise ConfigError(f"bisect_iters must be in [1, {MAX_BISECT_ITERS}], "
+                              f"got {self.bisect_iters}")
 
     @property
     def total_steps(self) -> int:
@@ -269,10 +270,14 @@ class _Run:
 # ---------------------------------------------------------------------------
 # the training loop
 
-def _train(method: str, case: GridCase, factors: LinearFactors, cont: ContingencySet,
-           instances: list[Instance], config: TrainerConfig, g_star=None,
-           checkpoint_cb=None) -> TrainResult:
+def train(method: str, case: GridCase, factors: LinearFactors, cont: ContingencySet,
+          instances: list[Instance], config: TrainerConfig, g_star=None,
+          checkpoint_cb=None) -> TrainResult:
+    """Train one of METHODS; naive and ld need the reference dispatch g_star
+    of every instance."""
     t_start = time.perf_counter()
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     loss_fn = _LOSSES[method]
     self_supervised = method in ("pdl", "penalty")
     data = stack_instances(instances, g_star=None if self_supervised else g_star)
@@ -351,39 +356,5 @@ def train_pdl(case: GridCase, factors: LinearFactors, cont: ContingencySet,
     regression steps toward the multiplier update targets, and finally
     updates the penalty coefficient.
     """
-    return _train("pdl", case, factors, cont, instances, config,
-                  checkpoint_cb=checkpoint_cb)
-
-
-def train_penalty(case: GridCase, factors: LinearFactors, cont: ContingencySet,
-                  instances: list[Instance], config: TrainerConfig,
-                  checkpoint_cb=None) -> TrainResult:
-    """Self-supervised baseline: objective plus rho * sum h^2, same penalty
-    schedule as the primal-dual trainer, no multiplier network.  Runs 2L
-    inner steps per outer iteration so the total step count matches."""
-    return _train("penalty", case, factors, cont, instances, config,
-                  checkpoint_cb=checkpoint_cb)
-
-
-def train_naive(case, factors, cont, instances, g_star, config,
-                checkpoint_cb=None) -> TrainResult:
-    """Supervised baseline: Euclidean distance between the repaired dispatch
-    and the reference dispatch."""
-    return _train("naive", case, factors, cont, instances, config, g_star,
-                  checkpoint_cb)
-
-
-def train_ld(case, factors, cont, instances, g_star, config,
-             checkpoint_cb=None) -> TrainResult:
-    """Supervised baseline: distance loss plus a fixed-coefficient squared
-    penalty on the contingency balance residuals."""
-    return _train("ld", case, factors, cont, instances, config, g_star,
-                  checkpoint_cb)
-
-
-def train(method: str, case, factors, cont, instances, config,
-          g_star=None, checkpoint_cb=None) -> TrainResult:
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-    return _train(method, case, factors, cont, instances, config, g_star,
-                  checkpoint_cb)
+    return train("pdl", case, factors, cont, instances, config,
+                 checkpoint_cb=checkpoint_cb)

@@ -138,3 +138,48 @@ def assert_views_of(flat, arrays):
         assert a.ctypes.data == flat.ctypes.data + offset * flat.itemsize
         offset += a.size
     assert offset == flat.size
+
+
+# the ways a checkpoint file can be refused by load_checkpoint for what it
+# holds: the previous format, a stored bisection count the pipeline does not
+# accept, dims that disagree with the primal sizes, a flat buffer of the
+# wrong length or of sizes far beyond the file's length, a primal network
+# without sizes
+BAD_CHECKPOINTS = ("format_1", "bisect_iters_0", "bisect_iters_53", "bisect_iters_float",
+                   "bisect_iters_bool", "dim_x", "n_gen", "short_flat", "huge_sizes",
+                   "no_sizes")
+
+
+def write_checkpoint(path, fault=None):
+    """A small penalty checkpoint (sizes 4, 6, 2; bisect_iters 25), or one
+    with the given fault of BAD_CHECKPOINTS."""
+    from scopflearn.nn import AdamState, init_mlp
+    from scopflearn.storage import (CHECKPOINT_MAGIC, Checkpoint, read_blob,
+                                    save_checkpoint, write_blob)
+
+    primal = init_mlp((4, 6, 2), np.random.default_rng(46))
+    fields = dict(method="penalty", case_name="t", dim_x=4, n_gen=2, primal=primal,
+                  primal_adam=AdamState.for_params(primal), trainer={"bisect_iters": 25})
+    fields.update({
+        "bisect_iters_0": {"trainer": {"bisect_iters": 0}},
+        "bisect_iters_53": {"trainer": {"bisect_iters": 53}},
+        "bisect_iters_float": {"trainer": {"bisect_iters": 25.0}},
+        "bisect_iters_bool": {"trainer": {"bisect_iters": True}},
+        "dim_x": {"dim_x": 5},
+        "n_gen": {"n_gen": 3},
+    }.get(fault, {}))
+    save_checkpoint(path, Checkpoint(**fields))
+    if fault == "format_1":
+        path.write_bytes(b"SCLCKPT\x01" + path.read_bytes()[8:])
+    elif fault in ("short_flat", "huge_sizes", "no_sizes"):
+        meta, arrays, _ = read_blob(path, CHECKPOINT_MAGIC)
+        names = [spec["name"] for spec in meta.pop("arrays")]
+        if fault == "short_flat":
+            arrays["p.flat"] = arrays["p.flat"][:-1]
+        elif fault == "huge_sizes":   # 8e12 parameters, for the stored 44
+            meta["primal"]["sizes"] = [4, 10**6, 10**6, 2]
+        else:   # consistent with itself: no layers, so empty buffers
+            meta["primal"]["sizes"] = []
+            arrays = {name: arr[:0] for name, arr in arrays.items()}
+        write_blob(path, CHECKPOINT_MAGIC, meta, [(n, arrays[n]) for n in names])
+    return path

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from scopflearn import training
 from scopflearn.cases import micro5, triangle3
 from scopflearn.grid import build_factors, build_lodf, build_ptdf, branch_incidence, \
     screen_contingencies
@@ -20,13 +21,7 @@ from scopflearn.oracle import label_dataset, oracle_objective, oracle_solve
 from scopflearn.report import evaluate_model
 from scopflearn.sampling import PerturbationConfig, sample_dataset
 from scopflearn.storage import dataset_from_instances
-from scopflearn.training import (
-    TrainerConfig,
-    train_ld,
-    train_naive,
-    train_pdl,
-    train_penalty,
-)
+from scopflearn.training import TrainerConfig, train_pdl
 
 from conftest import make_mesh8, make_two_bus
 from oracles import bus_demand, case_flows_without_line, fd_gradient, frozen_objective, rel_err
@@ -90,8 +85,8 @@ def pdl_runs(grid, datasets):
 def penalty_runs(grid, datasets):
     case, factors, cont = grid
     train, _, _ = datasets
-    return [train_penalty(case, factors, cont, train,
-                          TrainerConfig(seed=s, **RUN_CONFIG)) for s in TRAIN_SEEDS]
+    return [training.train("penalty", case, factors, cont, train,
+                           TrainerConfig(seed=s, **RUN_CONFIG)) for s in TRAIN_SEEDS]
 
 
 @pytest.fixture(scope="module")
@@ -99,10 +94,12 @@ def supervised_runs(grid, datasets, labeled):
     case, factors, cont = grid
     train, _, _ = datasets
     train_labels, _ = labeled
-    naive = [train_naive(case, factors, cont, train, train_labels.g_star,
-                         TrainerConfig(seed=s, **RUN_CONFIG)) for s in TRAIN_SEEDS]
-    ld = [train_ld(case, factors, cont, train, train_labels.g_star,
-                   TrainerConfig(seed=s, **RUN_CONFIG)) for s in TRAIN_SEEDS]
+    naive = [training.train("naive", case, factors, cont, train,
+                            TrainerConfig(seed=s, **RUN_CONFIG), g_star=train_labels.g_star)
+             for s in TRAIN_SEEDS]
+    ld = [training.train("ld", case, factors, cont, train,
+                         TrainerConfig(seed=s, **RUN_CONFIG), g_star=train_labels.g_star)
+          for s in TRAIN_SEEDS]
     return naive, ld
 
 

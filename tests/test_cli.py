@@ -11,8 +11,9 @@ from scopflearn.cli import main
 from scopflearn.grid import build_factors, save_case, screen_contingencies
 from scopflearn.layers import PrimalPipeline
 from scopflearn.nn import mlp_forward
-from scopflearn.storage import load_checkpoint, read_dataset, save_checkpoint
+from scopflearn.storage import Dataset, load_checkpoint, read_dataset, save_checkpoint, write_dataset
 
+from conftest import BAD_CHECKPOINTS, write_checkpoint
 from oracles import response_residuals
 
 
@@ -61,6 +62,14 @@ def test_gen_invalid_case_exit_code(tmp_path):
                 "--out", str(tmp_path / "x.bin")]) == 3
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gen_rejects_fewer_than_one_instance(tmp_path, capsys, n):
+    out = tmp_path / "d.bin"
+    assert run(["gen", "--case", "triangle3", "--n", n, "--out", str(out)]) == 2
+    assert "--n must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_case_file_path_accepted(tmp_path):
     path = tmp_path / "tri.json"
     save_case(triangle3(), path)
@@ -92,6 +101,29 @@ def test_oracle_and_inspect(tmp_path, capsys):
 
 def test_inspect_requires_target():
     assert run(["inspect"]) == 2
+
+
+def test_inspect_empty_dataset(tmp_path, capsys):
+    data = tmp_path / "empty.bin"
+    write_dataset(data, Dataset(case_name="triangle3", seed=0, d=np.empty((0, 2)),
+                                c=np.empty((0, 2)), gub=np.empty((0, 2)),
+                                seeds=np.empty(0, np.uint64)))
+    assert run(["inspect", "--dataset", str(data)]) == 0
+    out = capsys.readouterr().out
+    assert "0 instances of case triangle3" in out
+    assert "holds no instances" in out
+
+
+@pytest.mark.parametrize("fault", BAD_CHECKPOINTS)
+def test_bad_checkpoint_exits_3(tmp_path, capsys, fault):
+    data = tmp_path / "t.bin"
+    assert run(["gen", "--case", "triangle3", "--n", "2", "--out", str(data)]) == 0
+    ckpt = str(write_checkpoint(tmp_path / "bad.bin", fault))
+    capsys.readouterr()
+    assert run(["inspect", "--checkpoint", ckpt]) == 3
+    assert run(["eval", "--case", "triangle3", "--checkpoint", ckpt,
+                "--dataset", str(data)]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_inspect_corrupt_metadata_exits_3(tmp_path, capsys):

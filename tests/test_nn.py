@@ -184,7 +184,7 @@ def test_init_small_final_layer():
 @pytest.mark.parametrize("use_ln", [False, True])
 def test_arrays_are_views_of_one_flat_buffer(use_ln):
     params = init_mlp((4, 6, 5, 2), np.random.default_rng(21), use_layernorm=use_ln)
-    assert [a.shape for _, a in params.named_arrays()] == [s for _, s in params.shapes()]
+    assert [a.shape for a in params.arrays()] == [s for _, s in params.shapes()]
     copy = params.copy()
     _, tape = mlp_forward(params, np.random.default_rng(22).normal(size=(3, 4)))
     grads, _ = mlp_backward(params, tape, np.ones((3, 2)))

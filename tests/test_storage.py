@@ -17,11 +17,10 @@ from scopflearn.storage import (
     read_blob,
     read_dataset,
     save_checkpoint,
-    write_blob,
     write_dataset,
 )
 
-from conftest import assert_views_of
+from conftest import BAD_CHECKPOINTS, assert_views_of, write_checkpoint
 
 
 def _dataset(case, cont, seed=40, n=10):
@@ -186,8 +185,14 @@ def test_checkpoint_roundtrip(tmp_path):
                     trainer={"rho": 0.4, "v_prev": 0.01, "outer": 3, "inner": 10})
     path = tmp_path / "ck.bin"
     save_checkpoint(path, ck)
-    assert path.read_bytes()[:8] == b"SCLCKPT\x01"
+    assert path.read_bytes()[:8] == b"SCLCKPT\x02"
     back = load_checkpoint(path)
+    # each buffer comes back byte for byte
+    for net, adam, saved, saved_adam in ((back.primal, back.primal_adam, primal, padam),
+                                         (back.dual, back.dual_adam, dual, dadam)):
+        assert net.flat.tobytes() == saved.flat.tobytes()
+        assert adam.m.tobytes() == saved_adam.m.tobytes()
+        assert adam.v.tobytes() == saved_adam.v.tobytes()
     assert back.method == "pdl"
     assert back.primal.sizes == primal.sizes
     assert back.primal.use_layernorm
@@ -229,17 +234,35 @@ def test_checkpoint_arrays_are_writeable_and_separate(tmp_path):
 
 
 def test_checkpoint_rejects_misshapen_array(tmp_path):
-    primal = init_mlp((4, 6, 2), np.random.default_rng(46))
-    adam = AdamState.for_params(primal)
-    path = tmp_path / "ck.bin"
-    save_checkpoint(path, Checkpoint(method="penalty", case_name="t", dim_x=4, n_gen=2,
-                                     primal=primal, primal_adam=adam))
-    meta, arrays, _ = read_blob(path, CHECKPOINT_MAGIC)
-    arrays["p.b0"] = arrays["p.b0"][:1]   # broadcastable, so it must be refused
-    names = [spec["name"] for spec in meta.pop("arrays")]
-    write_blob(path, CHECKPOINT_MAGIC, meta, [(n, arrays[n]) for n in names])
+    # a p.flat one element short of the layout its sizes fix
+    path = write_checkpoint(tmp_path / "ck.bin", "short_flat")
     with pytest.raises(DataError, match="do not match"):
         load_checkpoint(path)
+
+
+def test_checkpoint_stores_three_arrays_per_network(tmp_path):
+    rng = np.random.default_rng(48)
+    primal = init_mlp((5, 7, 7, 2), rng, use_layernorm=True)
+    dual = init_mlp((5, 7, 1), rng)
+    path = tmp_path / "ck.bin"
+    for dual_net, names in ((None, ["p.flat", "p.adam_m", "p.adam_v"]),
+                            (dual, ["p.flat", "p.adam_m", "p.adam_v",
+                                    "d.flat", "d.adam_m", "d.adam_v"])):
+        save_checkpoint(path, Checkpoint(
+            method="penalty" if dual_net is None else "pdl", case_name="t", dim_x=5,
+            n_gen=2, primal=primal, primal_adam=AdamState.for_params(primal), dual=dual_net,
+            dual_adam=None if dual_net is None else AdamState.for_params(dual_net)))
+        meta, arrays, _ = read_blob(path, CHECKPOINT_MAGIC)
+        assert [spec["name"] for spec in meta["arrays"]] == names
+        assert arrays["p.flat"].tobytes() == primal.flat.tobytes()
+
+
+@pytest.mark.parametrize("fault", BAD_CHECKPOINTS)
+def test_checkpoint_refusals(tmp_path, fault):
+    assert load_checkpoint(write_checkpoint(tmp_path / "good.bin")).trainer == {
+        "bisect_iters": 25}
+    with pytest.raises(DataError):
+        load_checkpoint(write_checkpoint(tmp_path / "bad.bin", fault))
 
 
 def test_checkpoint_byte_identical(tmp_path):

@@ -11,10 +11,7 @@ from scopflearn.training import (
     primal_loss_terms,
     stack_instances,
     train,
-    train_ld,
-    train_naive,
     train_pdl,
-    train_penalty,
     update_penalty,
 )
 
@@ -172,8 +169,8 @@ def test_pdl_frozen_dual_during_primal(monkeypatch, tri_case_mod, tri_factors_mo
         assert dual_phase[-1][2] != frozen  # the dual phase does train it
 
 
-@pytest.mark.parametrize("trainer", [train_pdl, train_penalty])
-def test_outer_log_matches_fresh_evaluation(trainer, tri_case_mod, tri_factors_mod,
+@pytest.mark.parametrize("method", ["pdl", "penalty"], ids=lambda m: f"train_{m}")
+def test_outer_log_matches_fresh_evaluation(method, tri_case_mod, tri_factors_mod,
                                             tri_cont_mod, tri_data):
     # v_k and mean_objective of every outer iteration come from one pass over
     # the dataset; both must match a fresh evaluation of that iteration's primal
@@ -183,8 +180,8 @@ def test_outer_log_matches_fresh_evaluation(trainer, tri_case_mod, tri_factors_m
     def cb(k, primal, padam, dual, dadam, state):
         primals.append(primal.copy())
 
-    res = trainer(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg,
-                  checkpoint_cb=cb)
+    res = train(method, tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg,
+                checkpoint_cb=cb)
     pipe = PrimalPipeline(tri_case_mod, tri_factors_mod, tri_cont_mod, t=cfg.bisect_iters)
     data = stack_instances(tri_data)
     assert len(res.outer_log) == len(primals) == cfg.K
@@ -213,13 +210,13 @@ def test_nan_residual_in_evaluation_pass_raises(monkeypatch, tri_case_mod, tri_f
 
     monkeypatch.setattr(training, "adam_step", poisoning_step)
     with pytest.raises(DivergenceError):
-        train_penalty(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg)
+        train("penalty", tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg)
     assert len(calls) == 2 * cfg.L
 
 
 def test_penalty_trainer(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
     cfg = TrainerConfig(**CHEAP)
-    res = train_penalty(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg)
+    res = train("penalty", tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg)
     assert len(res.log) == 2 * cfg.K * cfg.L
     rhos = [row["rho"] for row in res.log]
     assert all(b >= a for a, b in zip(rhos, rhos[1:]))
@@ -229,7 +226,7 @@ def test_penalty_trainer(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
 def test_supervised_requires_labels(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
     cfg = TrainerConfig(**CHEAP)
     with pytest.raises(DataError, match="oracle"):
-        train_naive(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, None, cfg)
+        train("naive", tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg)
 
 
 def test_supervised_loss_zero_at_targets(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
@@ -237,8 +234,8 @@ def test_supervised_loss_zero_at_targets(tri_case_mod, tri_factors_mod, tri_cont
     cfg = TrainerConfig(K=2, L=60, batch=8, seed=1)
     g_star = np.stack([
         inst.gub * (inst.d_total / inst.gub.sum()) for inst in tri_data])
-    res = train_naive(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data,
-                      g_star, cfg)
+    res = train("naive", tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg,
+                g_star=g_star)
     first = np.mean([row["loss"] for row in res.log[:20]])
     last = np.mean([row["loss"] for row in res.log[-20:]])
     assert last < first
@@ -254,8 +251,8 @@ def test_ld_trainer_runs(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
     cfg = TrainerConfig(**CHEAP)
     g_star = np.stack([
         inst.gub * (inst.d_total / inst.gub.sum()) for inst in tri_data])
-    res = train_ld(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data,
-                   g_star, cfg)
+    res = train("ld", tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data, cfg,
+                g_star=g_star)
     assert len(res.log) == 2 * cfg.K * cfg.L
     assert all(row["rho"] == 1e3 for row in res.log)
 
