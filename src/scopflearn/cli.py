@@ -21,7 +21,7 @@ from .grid import GridCase, build_factors, load_case, screen_contingencies
 from .layers import BISECT_ITERS
 from .oracle import label_dataset, oracle_solve
 from .report import evaluate_model, write_report_csv, write_training_log_csv
-from .sampling import PerturbationConfig, sample_dataset
+from .sampling import Z95, PerturbationConfig, sample_dataset
 from .storage import (
     Checkpoint,
     Dataset,
@@ -73,7 +73,7 @@ def cmd_gen(args) -> int:
         "seed": args.seed,
         "resamples": resamples,
         "perturbation": {"mu": pcfg.mu, "load_corr": pcfg.load_corr,
-                         "factor_corr": pcfg.factor_corr, "z95": pcfg.z95},
+                         "factor_corr": pcfg.factor_corr, "z95": Z95},
     }
     manifest["config_hash"] = config_hash(manifest)
     out.with_suffix(out.suffix + ".manifest.json").write_text(

@@ -12,20 +12,19 @@ backward conventions are: the repair branch and the per-generator cap flags
 are frozen from the forward pass, and the converged response signal is
 treated as a constant (no gradient through the bisection root).
 
-Line-outage slacks are formed in blocks of at most SLACK_BLOCK elements, so
-the post-outage flows of a batch never exist all at once.  Few (outage, line)
-pairs can bind, so a batch whose line-outage work exceeds one block is first
+Line-outage slacks take one of two forms, chosen by batch size alone.  A
+batch whose post-outage flows fit one block of SLACK_BLOCK elements forms
+them as one dense (batch, line outage, line) block.  A larger batch is first
 screened (``PrimalPipeline.binding_pairs``): from each line's interval of
 base flows over the batch, a pair whose post-outage flow stays strictly
 inside its limits in every row is dropped, and only the other pairs are
-gathered and formed.  The screen is exact in floating point: its bounds take
-the operations of the post-outage flow in the same order, and rounding is
-monotone, so every dropped pair has slack +0.0 and sign 0 bit for bit, and a
-non-finite flow keeps its pairs.  The dense blocks still run where the
-screen cannot pay: when the whole batch fits one block, or when the screen
-keeps more than PAIR_SHARE of the pairs.  The per-outage slacks are
-identical either way; sums over pairs can move in their last bits, since the
-gathered blocks add fewer terms in another order.
+gathered and formed, in blocks of at most SLACK_BLOCK elements, so its
+post-outage flows never exist all at once.  The screen is exact in floating
+point: its bounds take the operations of the post-outage flow in the same
+order, and rounding is monotone, so every dropped pair has slack +0.0 and
+sign 0 bit for bit, and a non-finite flow keeps its pairs.  The per-outage
+slacks are identical in either form; sums over pairs can move in their last
+bits, since the gathered blocks add fewer terms in another order.
 
 Each slack mode keeps only what its callers read: every mode keeps the
 base-case and generator-outage slacks and the per-instance line-outage slack
@@ -50,14 +49,10 @@ DEGENERATE_TOL = 1e-12
 # the search step falls below the response signal's last bit
 BISECT_ITERS = 25
 MAX_BISECT_ITERS = 52
-# elements of one float64 temporary in the line-outage slack loop (512 KB);
-# a block holds at least one outage, however large the batch
+# elements of one float64 temporary in the line-outage slacks (512 KB): a
+# batch within it forms one dense block, a larger one the screened pairs, a
+# block of which holds at least one pair however large the batch
 SLACK_BLOCK = 1 << 16
-# the screen's pairs are gathered only where it keeps at most this share of
-# them, else the dense blocks run: on a 210-line mesh the two forms broke even
-# near 30% kept at batch 8 and near 45-50% at batches 32 and 128; on a 40-line
-# mesh at batch 128, keeping 80-93%, the gathered form was up to 25% slower
-PAIR_SHARE = 0.5
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -284,7 +279,8 @@ class PipelineState:
     sign_e: np.ndarray = None
     # every slack mode: the per-instance line-outage slack total (B,); "sums"
     # only: the objective-gradient weights on the base flows (B, n_line);
-    # True only: eta_e; "totals" neither
+    # True only: eta_e, the dense block itself where the batch fits one;
+    # "totals" neither
     eta_e_sum: np.ndarray = None
     weights: np.ndarray = None
 
@@ -371,58 +367,79 @@ class PrimalPipeline:
         if with_slacks is not True and with_slacks not in ("sums", "totals"):
             raise ConfigError("with_slacks must be True, False, 'sums' or 'totals', "
                               f"got {with_slacks!r}")
-        grads, serving = with_slacks == "sums", with_slacks is True
+        grads = with_slacks == "sums"
         flow_d, f0 = self.base_flows(state.gtilde, d)
         state.f0 = f0
         state.eta0, state.sign0 = self.slack_and_sign(f0, grads)
         fg = flow_d[:, None, :] - state.gk @ self.phi_gen.T
         state.eta_g, state.sign_g = self.slack_and_sign(fg, grads)
+        state.eta_e_sum, state.eta_e, sign_sum, lodf_term = self.line_outage_slacks(
+            f0, with_slacks)
+        if grads:
+            # the LODF term on the outaged columns goes last, after the
+            # integer-valued sign sums, so the weights do not depend on the
+            # block form
+            state.weights = state.sign0 + sign_sum
+            state.weights[:, self.ke] += lodf_term
+
+    def line_outage_slacks(self, f0: np.ndarray, mode: bool | str = "totals"):
+        """The line-outage slacks at base flows f0 (B, n_line), reduced as
+        slack mode ``mode`` needs them: (total, eta_e, sign_sum, lodf_term).
+
+        total (B,), the per-instance slack total, in every mode; eta_e
+        (B, n_ke, n_line), the per-outage slacks with the outaged line's own
+        entry zero, for True; for "sums", the gradient's sign sums over
+        outages sign_sum (B, n_line) and its LODF terms on the outaged lines
+        lodf_term (B, n_ke).  What the mode does not need is None.
+
+        A batch within one block of SLACK_BLOCK elements is formed as one
+        dense block, a larger one as the screened pairs.  This is the one
+        place that reduces post-outage flows.
+        """
+        grads, serving = mode == "sums", mode is True
         batch, n_line = f0.shape
+        n_ke = self.ke.size
+        total = np.zeros(batch)   # from +0.0 in both forms
+        if batch * n_ke * n_line <= SLACK_BLOCK:
+            # one dense block: at batch 1 on a 210-line mesh the screen took
+            # 0.6-0.8 ms, the dense block 0.15-0.2 ms without signs
+            post = f0[:, self.ke, None] * self.lodf_ke[None, :, :]
+            post += f0[:, None, :]
+            eta, sign = thermal_slacks(post, self.flb, self.fub, grads, overwrite=True)
+            own = (slice(None), np.arange(n_ke), self.ke)
+            eta[own] = 0.0
+            total += eta.sum((-2, -1))
+            if not grads:
+                return total, eta if serving else None, None, None
+            sign[own] = 0.0
+            return total, None, sign.sum(-2), (sign * self.lodf_ke).sum(-1)
         # screened before the outputs are allocated, so its temporaries are
         # gone at their peak
         pairs = self.binding_pairs(f0)
-        state.eta_e_sum = np.zeros(batch)
+        eta_e = sign_sum = lodf_term = store = None
         if grads:
-            w = state.sign0.copy()
-            extra = np.zeros((batch, self.ke.size))
+            sign_sum, lodf_term = np.zeros((batch, n_line)), np.zeros((batch, n_ke))
         elif serving:
-            # memory in the order of the blocks' writes: outage-major for the
-            # dense blocks, pair-major for the gathered ones
-            if pairs is None:
-                store = np.empty((self.ke.size, batch, n_line))
-                state.eta_e = store.transpose(1, 0, 2)
-            else:
-                store = np.zeros((self.ke.size, n_line, batch))
-                state.eta_e = store.transpose(2, 0, 1)
-        for where, eta, sign in self.line_outage_blocks(f0, grads, pairs):
-            if pairs is None:   # where: a slice of outages, with every line
-                state.eta_e_sum += eta.sum((-2, -1))
-                if grads:
-                    w += sign.sum(-2)   # integer-valued: exact in any order
-                    extra[:, where] = (sign * self.lodf_ke[where]).sum(-1)
-                elif serving:
-                    state.eta_e[:, where] = eta
-            else:               # where: the outages and lines of kept pairs
-                state.eta_e_sum += eta.sum(0)
-                if grads:
-                    # few signs are nonzero: sum those alone
-                    at, rows = np.divmod(np.flatnonzero(sign), batch)
-                    nz, outages, lines = sign[at, rows], where[0][at], where[1][at]
-                    w += _scatter_sum(rows, lines, nz, w.shape)
-                    nz *= self.lodf_ke[outages, lines]
-                    extra += _scatter_sum(rows, outages, nz, extra.shape)
-                elif serving:
-                    store[where] = eta
-        if grads:
-            # the LODF term on the outaged columns goes last, so the weights
-            # do not depend on the blocking
-            w[:, self.ke] += extra
-            state.weights = w
+            # pair-major, in the order of the blocks' writes
+            store = np.zeros((n_ke, n_line, batch))
+            eta_e = store.transpose(2, 0, 1)
+        for where, eta, sign in self.line_outage_blocks(f0, pairs, grads):
+            total += eta.sum(0)
+            if grads:
+                # few signs are nonzero: sum those alone
+                at, rows = np.divmod(np.flatnonzero(sign), batch)
+                nz, outages, lines = sign[at, rows], where[0][at], where[1][at]
+                sign_sum += _scatter_sum(rows, lines, nz, sign_sum.shape)
+                nz *= self.lodf_ke[outages, lines]
+                lodf_term += _scatter_sum(rows, outages, nz, lodf_term.shape)
+            elif serving:
+                store[where] = eta
+        return total, eta_e, sign_sum, lodf_term
 
     def binding_pairs(self, f0: np.ndarray):
         """The (outage, line) pairs whose post-outage slack can be nonzero in
         some row of the base flows f0 (B, n_line), as (outage positions,
-        lines) in row-major order; None where the dense blocks run instead.
+        lines) in row-major order.
 
         Over the batch each line's flow lies in [lo, hi], so the post-outage
         flow f0_l + f0_k L_kl lies in [lo_l + min(lo_k L, hi_k L),
@@ -432,12 +449,6 @@ class PrimalPipeline:
         The strict test keeps a flow of -0.0 at a zero limit, whose dense
         slack can be -0.0; a NaN or inf fails it and keeps the pair.
         """
-        batch, n_line = f0.shape
-        n_ke = self.ke.size
-        if batch * n_ke * n_line <= SLACK_BLOCK:
-            # one dense block: at batch 1 on a 210-line mesh the screen took
-            # 0.6-0.8 ms, the dense block 0.15-0.2 ms without signs
-            return None
         lo, hi = f0.min(0), f0.max(0)
         reach_lo = lo[self.ke, None] * self.lodf_ke
         reach_hi = hi[self.ke, None] * self.lodf_ke
@@ -447,53 +458,30 @@ class PrimalPipeline:
         bottom += lo
         clear = top < self.fub
         clear &= bottom > self.flb
-        clear[np.arange(n_ke), self.ke] = True   # the outaged line's own entry is zero
-        keep = np.logical_not(clear, out=clear)
-        if np.count_nonzero(keep) > PAIR_SHARE * keep.size:
-            return None
-        return np.nonzero(keep)
+        clear[np.arange(self.ke.size), self.ke] = True   # the outaged line's own entry is zero
+        return np.nonzero(np.logical_not(clear, out=clear))
 
-    def line_outage_blocks(self, f0: np.ndarray, signs: bool = True, pairs=None):
-        """Thermal slacks of the screened line outages at base flows f0
-        (B, n_line), one block at a time: yields (where, slack, sign), with
-        sign None unless signs.
+    def line_outage_blocks(self, f0: np.ndarray, pairs, signs: bool = True):
+        """Thermal slacks of the screened pairs at base flows f0 (B, n_line),
+        one block at a time: yields (where, slack, sign), with sign None
+        unless signs.  pairs are (outage positions, lines) from
+        ``binding_pairs``; where is those of a run of the pairs, and the
+        arrays are (pairs in the block, B).
 
-        Dense, when pairs is None: where is a slice of outage positions and
-        the arrays are (B, outages in the block, n_line), the outaged line's
-        own entry zero.  Gathered, with pairs from ``binding_pairs``: where
-        is (outage positions, lines) of a run of the pairs, and the arrays
-        are (pairs in the block, B); every other pair's slack is zero.
-
-        A block holds at most SLACK_BLOCK elements, or one outage (one pair)
-        when a single one exceeds that, so memory does not grow with the
-        outage count.  This is the one place that forms post-outage flows.
+        A block holds at most SLACK_BLOCK elements, or one pair when a
+        single one exceeds that, so memory does not grow with the outage
+        count.  The operations and rounding are the dense block's.
         """
-        batch = f0.shape[0]
-        if pairs is not None:
-            f0t = np.ascontiguousarray(f0.T)   # gathers of contiguous rows
-            step = max(1, SLACK_BLOCK // max(batch, 1))
-            for lo in range(0, pairs[0].size, step):
-                outages, lines = where = pairs[0][lo:lo + step], pairs[1][lo:lo + step]
-                # in place, with the dense form's operations and rounding
-                post = f0t[self.ke[outages]]
-                post *= self.lodf_ke[where][:, None]
-                post += f0t[lines]
-                eta, sign = thermal_slacks(post, self.flb[lines, None], self.fub[lines, None],
-                                           signs, overwrite=True)
-                yield where, eta, sign
-            return
-        step = max(1, SLACK_BLOCK // max(f0.size, 1))
-        for lo in range(0, self.ke.size, step):
-            sl = slice(lo, lo + step)
-            ke, lodf = self.ke[sl], self.lodf_ke[sl]
-            post = f0[:, ke, None] * lodf[None, :, :]
-            post += f0[:, None, :]
-            eta, sign = thermal_slacks(post, self.flb, self.fub, signs, overwrite=True)
-            rows = np.arange(ke.size)
-            eta[:, rows, ke] = 0.0
-            if signs:
-                sign[:, rows, ke] = 0.0
-            yield sl, eta, sign
+        f0t = np.ascontiguousarray(f0.T)   # gathers of contiguous rows
+        step = max(1, SLACK_BLOCK // max(f0.shape[0], 1))
+        for lo in range(0, pairs[0].size, step):
+            outages, lines = where = pairs[0][lo:lo + step], pairs[1][lo:lo + step]
+            post = f0t[self.ke[outages]]
+            post *= self.lodf_ke[where][:, None]
+            post += f0t[lines]
+            eta, sign = thermal_slacks(post, self.flb[lines, None], self.fub[lines, None],
+                                       signs, overwrite=True)
+            yield where, eta, sign
 
     def slack_and_sign(self, f: np.ndarray, signs: bool = True):
         """Thermal slacks and sign patterns of flows f (..., n_line) against

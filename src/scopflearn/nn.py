@@ -15,6 +15,7 @@ from .errors import ConfigError
 
 LN_EPS = 1e-5
 FINAL_LAYER_SCALE = 1e-3
+HIDDEN_FACTOR = 1.5   # hidden width per input feature
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,8 +122,8 @@ def init_mlp(sizes, rng: np.random.Generator, use_layernorm: bool = False) -> Ml
     return params
 
 
-def hidden_width(dim_x: int, factor: float = 1.5) -> int:
-    return int(round(factor * dim_x))
+def hidden_width(dim_x: int) -> int:
+    return int(round(HIDDEN_FACTOR * dim_x))
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray):

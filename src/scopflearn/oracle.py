@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .grid import ContingencySet, GridCase, LinearFactors
 from .layers import PrimalPipeline
 from .sampling import Instance, balanced_box_vertices
@@ -88,9 +88,7 @@ def _cheap_lower_bound(pipe: PrimalPipeline, inst: Instance, g: np.ndarray) -> n
     """Exact lower bound on F: cost plus base-case and line-contingency slack
     penalties (generator-contingency slacks are nonnegative)."""
     _, f0 = pipe.base_flows(g, inst.d)
-    eta = pipe.slack_and_sign(f0, signs=False)[0].sum(-1)
-    for _, eta_e, _ in pipe.line_outage_blocks(f0, signs=False):
-        eta = eta + eta_e.sum((-2, -1))
+    eta = pipe.slack_and_sign(f0, signs=False)[0].sum(-1) + pipe.line_outage_slacks(f0)[0]
     return g @ inst.c + pipe.Pi * eta
 
 
@@ -130,6 +128,8 @@ def oracle_solve(inst: Instance, case: GridCase, factors: LinearFactors,
                  cont: ContingencySet, resolution: float = 1e-3) -> OracleResult:
     """Exhaustive lattice search over the balanced-dispatch slice with exact
     lower-bound pruning, followed by pairwise-transfer polish."""
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise ConfigError(f"resolution must be positive and finite, got {resolution}")
     if case.n_gen > MAX_ORACLE_GENS:
         raise DataError(
             f"reference solver is limited to {MAX_ORACLE_GENS} generators "

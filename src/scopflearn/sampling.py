@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .grid import ContingencySet, GridCase
 
 Z95 = 1.645  # two-sided 90% z-score; the truncation box sits at the 95th percentile
@@ -22,17 +22,14 @@ class PerturbationConfig:
     load_corr: float = 0.5
     factor_corr: float = 0.8
     seed: int = 0
-    z95: float = Z95
 
     def __post_init__(self):
         if not 0 <= self.mu < 1:
-            raise DataError(f"mu must be in [0, 1), got {self.mu}")
+            raise ConfigError(f"mu must be in [0, 1), got {self.mu}")
         for name in ("load_corr", "factor_corr"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
-                raise DataError(f"{name} must be in [0, 1], got {v}")
-        if not self.z95 > 0:
-            raise DataError("z95 must be positive")
+                raise ConfigError(f"{name} must be in [0, 1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +68,12 @@ def _correlation_factor(n: int, corr: float) -> np.ndarray:
 def sample_loads(case: GridCase, config: PerturbationConfig, rng: np.random.Generator) -> np.ndarray:
     """Truncated correlated Gaussian draw around d0.
 
-    sigma_i = mu*d0_i/z95 so the truncation box (1 +/- mu)*d0 sits at the
+    sigma_i = mu*d0_i/Z95 so the truncation box (1 +/- mu)*d0 sits at the
     95th percentile of each marginal.  Whole-vector rejection inside the box;
     element-wise clamping after MAX_REJECTIONS rejections.
     """
     d0 = case.d0
-    sigma = config.mu * d0 / config.z95
+    sigma = config.mu * d0 / Z95
     lo, hi = (1.0 - config.mu) * d0, (1.0 + config.mu) * d0
     root = _correlation_factor(case.n_load, config.load_corr)
     for _ in range(MAX_REJECTIONS):
@@ -87,11 +84,11 @@ def sample_loads(case: GridCase, config: PerturbationConfig, rng: np.random.Gene
 
 
 def sample_factors(n: int, corr: float, config: PerturbationConfig, rng: np.random.Generator) -> np.ndarray:
-    """One draw from N(1, Sigma) with equicorrelated entries; sigma = mu/z95.
+    """One draw from N(1, Sigma) with equicorrelated entries; sigma = mu/Z95.
 
     No truncation here; the cost and bound safeguards are applied downstream.
     """
-    sigma = config.mu / config.z95
+    sigma = config.mu / Z95
     root = _correlation_factor(n, corr)
     return 1.0 + sigma * (root @ rng.standard_normal(n))
 

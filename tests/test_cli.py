@@ -70,6 +70,15 @@ def test_gen_rejects_fewer_than_one_instance(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [["--mu", "1.5"], ["--load-corr", "-0.1"],
+                                  ["--factor-corr", "2"]])
+def test_gen_rejects_out_of_range_perturbation(tmp_path, capsys, flag):
+    out = tmp_path / "d.bin"
+    assert run(["gen", "--case", "triangle3", "--n", "2", "--out", str(out), *flag]) == 2
+    assert "must be in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_case_file_path_accepted(tmp_path):
     path = tmp_path / "tri.json"
     save_case(triangle3(), path)
@@ -97,6 +106,17 @@ def test_oracle_and_inspect(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "3 buses" in out
     assert "labeled: True" in out
+
+
+@pytest.mark.parametrize("resolution", ["0", "-1e-3", "nan", "inf"])
+def test_oracle_refuses_a_resolution_not_positive_and_finite(tmp_path, capsys, resolution):
+    data = tmp_path / "d.bin"
+    assert run(["gen", "--case", "triangle3", "--n", "2", "--out", str(data)]) == 0
+    labeled = tmp_path / "l.bin"
+    assert run(["oracle", "--case", "triangle3", "--dataset", str(data),
+                "--out", str(labeled), f"--resolution={resolution}"]) == 2
+    assert "resolution must be positive and finite" in capsys.readouterr().err
+    assert not labeled.exists()
 
 
 def test_inspect_requires_target():

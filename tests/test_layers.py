@@ -452,10 +452,10 @@ def test_pipeline_objective_matches_scopf_eval(m5_case, m5_factors, m5_cont):
 
 
 # ---------------------------------------------------------------------------
-# line-outage slacks: blocked reductions and the pair screen against
-# per-outage arrays
+# line-outage slacks: the dense block and the pair screen against per-outage
+# arrays
 
-# the gathered pairs sum fewer terms in another order than the dense blocks,
+# the gathered pairs sum fewer terms in another order than the dense block,
 # so their sums agree with the per-outage reference to this share of the sum
 # of the absolute terms (a float64 sum of a few thousand terms moves by a few
 # ulps of that sum)
@@ -495,6 +495,24 @@ def _per_outage_reference(pipe, f0):
     return eta, sign, w, w_abs
 
 
+def _one_block(pipe, f0):
+    """Whether the line-outage slacks at base flows f0 form one dense block."""
+    return f0.size * pipe.ke.size <= layers.SLACK_BLOCK
+
+
+def _spy_screen(monkeypatch, pipe):
+    """Records the share of pairs kept by each call of the pair screen."""
+    shares, screen = [], pipe.binding_pairs
+
+    def spied(f0):
+        pairs = screen(f0)
+        shares.append(pairs[0].size / (pipe.ke.size * f0.shape[1]))
+        return pairs
+
+    monkeypatch.setattr(pipe, "binding_pairs", spied)
+    return shares
+
+
 def _check_slack_modes(pipe, z, d, gub, c):
     """Serving, training and evaluation slacks of one request against the
     per-outage reference; returns the reference slacks and signs."""
@@ -510,9 +528,9 @@ def _check_slack_modes(pipe, z, d, gub, c):
     with pytest.raises(ConfigError):
         pipe.objective_grads(full, c)
     # training: the slack total and the gradient weights, no per-outage array;
-    # bytewise where the dense blocks run
+    # bytewise where the dense block runs
     assert sums.eta_e is None and sums.sign_e is None
-    if pipe.binding_pairs(full.f0) is None:
+    if _one_block(pipe, full.f0):
         assert sums.weights.tobytes() == w_ref.tobytes()
     else:
         assert np.all(np.abs(sums.weights - w_ref) <= PAIR_SUM_RTOL * w_abs)
@@ -527,6 +545,10 @@ def _check_slack_modes(pipe, z, d, gub, c):
         assert state.eta_e_sum.tobytes() == sums.eta_e_sum.tobytes()
         assert state.h.tobytes() == sums.h.tobytes()
         assert pipe.objective(state, c).tobytes() == pipe.objective(sums, c).tobytes()
+    # the reduction every reader shares, called directly
+    total, eta_e, sign_sum, lodf_term = pipe.line_outage_slacks(full.f0)
+    assert total.tobytes() == sums.eta_e_sum.tobytes()
+    assert eta_e is None and sign_sum is None and lodf_term is None
     return eta_ref, sign_ref
 
 
@@ -534,18 +556,18 @@ def test_blocked_line_slacks_match_per_outage_arrays(monkeypatch):
     case = make_ring_mesh(grid_seed=3, n_bus=40, n_chords=15, n_gen=5, n_load=20)
     pipe, z, d, gub, c = _mesh_request(case, 6, seed=5)
     assert pipe.ke.size == case.n_line == 55
+    shares = _spy_screen(monkeypatch, pipe)
     f0 = pipe.forward(z, d, gub).f0
-    # 6 x 55 x 55 elements fit the default budget: one block, and no screen
-    assert len(list(pipe.line_outage_blocks(f0))) == 1
-    assert pipe.binding_pairs(f0) is None
-    _check_slack_modes(pipe, z, d, gub, c)
-    # ten outages per block: six blocks, the last one short
-    monkeypatch.setattr(layers, "SLACK_BLOCK", 6 * 55 * 10)
-    blocks = list(pipe.line_outage_blocks(f0))
-    assert len(blocks) == 6 and blocks[-1][1].shape[1] == 5
+    # 6 x 55 x 55 elements fit the default budget: one dense block, no screen
+    assert _one_block(pipe, f0)
     eta_ref, sign_ref = _check_slack_modes(pipe, z, d, gub, c)
-    last = blocks[-1][0]
-    assert eta_ref[:, last].sum() > 0 and np.abs(sign_ref[:, last]).sum() > 0
+    assert not shares
+    assert eta_ref.sum() > 0 and np.abs(sign_ref).sum() > 0
+    # ten outages' pairs per block: the screened pairs, in several blocks
+    monkeypatch.setattr(layers, "SLACK_BLOCK", 6 * 55 * 10)
+    assert _check_pair_blocks(pipe, f0) > 1
+    _check_slack_modes(pipe, z, d, gub, c)
+    assert len(shares) == 5 and min(shares) > 0
 
 
 def _check_pair_blocks(pipe, f0):
@@ -553,11 +575,10 @@ def _check_pair_blocks(pipe, f0):
     arrays, equal the reference bytewise: every pruned pair has slack +0.0
     and sign 0 in every row.  Returns the number of blocks."""
     pairs = pipe.binding_pairs(f0)
-    assert pairs is not None
     eta_ref, sign_ref, _, _ = _per_outage_reference(pipe, f0)
     eta, sign = np.zeros_like(eta_ref), np.zeros_like(sign_ref)
     blocks = 0
-    for (outages, lines), block_eta, block_sign in pipe.line_outage_blocks(f0, True, pairs):
+    for (outages, lines), block_eta, block_sign in pipe.line_outage_blocks(f0, pairs):
         eta[:, outages, lines] = block_eta.T
         sign[:, outages, lines] = block_sign.T
         blocks += 1
@@ -567,9 +588,8 @@ def _check_pair_blocks(pipe, f0):
 
 
 def _forced_pairs(monkeypatch, n_rows):
-    """Gathered blocks of 64 pairs wherever the screen runs."""
+    """Gathered blocks of 64 pairs, and the screen at every batch size."""
     monkeypatch.setattr(layers, "SLACK_BLOCK", 64 * n_rows)
-    monkeypatch.setattr(layers, "PAIR_SHARE", 1.0)
 
 
 @pytest.mark.parametrize("n_rows", [8, 32, 128])
@@ -646,19 +666,23 @@ def test_pair_screen_keeps_a_nan_row(monkeypatch, n_rows):
         training.max_violation(pipe, primal, data)
 
 
-def test_pair_screen_gives_way_to_the_dense_blocks(monkeypatch):
+def test_dense_block_runs_within_one_block_only(monkeypatch):
+    """The dense block runs if and only if the batch's post-outage flows fit
+    one block; above it the screen runs, whatever share of pairs it keeps."""
     case = make_ring_mesh(grid_seed=3, n_bus=40, n_chords=15, n_gen=5, n_load=20)
-    pipe, z, d, gub, _ = _mesh_request(case, 64, seed=1, scale=0.3)
-    f0 = pipe.forward(z, d, gub, with_slacks="totals").f0
-    # 64 x 55 x 55 elements exceed one block, and few pairs can bind
-    outages, _ = pipe.binding_pairs(f0)
-    share = outages.size / (pipe.ke.size * case.n_line)
-    assert 0 < share < layers.PAIR_SHARE
-    # where the screen keeps more than PAIR_SHARE, the dense blocks run
-    monkeypatch.setattr(layers, "PAIR_SHARE", share / 2)
-    assert pipe.binding_pairs(f0) is None
-    # one block's work runs dense without a screen
-    assert pipe.binding_pairs(f0[:1]) is None
+    # tight limits: the screen keeps most pairs
+    case = dataclasses.replace(case, flb=0.2 * case.flb, fub=0.2 * case.fub)
+    pipe, z, d, gub, c = _mesh_request(case, 8, seed=1)
+    shares = _spy_screen(monkeypatch, pipe)
+    monkeypatch.setattr(layers, "SLACK_BLOCK", 4 * 55 * 55)
+    for mode in (True, "sums", "totals"):
+        pipe.forward(z[:4], d[:4], gub[:4], with_slacks=mode)
+    assert not shares   # exactly one block: dense, no screen
+    for mode in (True, "sums", "totals"):
+        pipe.forward(z[:5], d[:5], gub[:5], with_slacks=mode)
+    assert len(shares) == 3 and min(shares) > 0.9   # one row more: screened
+    _check_slack_modes(pipe, z, d, gub, c)
+    assert len(shares) == 7 and min(shares) > 0.9
 
 
 def test_line_slacks_without_line_outages():

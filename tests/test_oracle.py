@@ -3,9 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from scopflearn.errors import DataError
+from scopflearn.errors import ConfigError, DataError
 from scopflearn.grid import GridCase, build_factors, screen_contingencies
-from scopflearn.layers import PrimalPipeline
+from scopflearn.layers import SLACK_BLOCK, PrimalPipeline
 from scopflearn.oracle import (
     ORACLE_BISECT_ITERS,
     OracleResult,
@@ -16,7 +16,7 @@ from scopflearn.oracle import (
 from scopflearn.sampling import PerturbationConfig, sample_dataset
 from scopflearn.storage import dataset_from_instances
 
-from oracles import full_objective
+from oracles import full_objective, reference_slacks
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +226,40 @@ def test_lattice_blocks_cover_every_row(monkeypatch):
         blocks = oracle._blocks(g)
         assert blocks and all(b.shape[0] <= 7 for b in blocks)
         assert np.array_equal(np.concatenate(blocks), g)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1e-3, np.nan, np.inf])
+def test_oracle_refuses_a_resolution_not_positive_and_finite(tri, resolution):
+    case, factors, cont = tri
+    inst = sample_dataset(case, PerturbationConfig(seed=0), 1, cont=cont)[0][0]
+    with pytest.raises(ConfigError, match="resolution"):
+        oracle_solve(inst, case, factors, cont, resolution=resolution)
+
+
+def test_cheap_lower_bound_above_one_slack_block(m5):
+    """The pruning bound on one lattice block larger than one slack block
+    (the screened pairs run there) is the cost plus the penalized base-case
+    and line-outage slacks of fresh angle solves, and does not exceed F."""
+    import scopflearn.oracle as oracle
+
+    case, factors, cont = m5
+    pipe = PrimalPipeline(case, factors, cont, t=ORACLE_BISECT_ITERS)
+    inst = sample_dataset(case, PerturbationConfig(seed=37), 1, cont=cont)[0][0]
+    lattice = oracle._slice_lattice(case.glb, inst.gub, inst.d_total, 1.5e-2)
+    (block,) = oracle._blocks(lattice)
+    one_block = SLACK_BLOCK // (pipe.ke.size * case.n_line)
+    assert one_block == 2621 < block.shape[0] <= oracle.CHUNK
+    bound = oracle._cheap_lower_bound(pipe, inst, block)
+    ref = np.empty(block.shape[0])
+    line_slack = 0.0
+    for i, g in enumerate(block):
+        eta0, _, eta_e = reference_slacks(case, g, [], pipe.ke, inst.d)
+        ref[i] = inst.c @ g + case.Pi * (eta0.sum() + eta_e.sum())
+        line_slack += eta_e.sum()
+    assert line_slack > 0
+    assert np.all(np.abs(bound - ref) <= 1e-12 * np.abs(ref))
+    # F adds the generator-outage slacks; where they are zero the two differ
+    # by rounding only, within the 1e-9 the pruning allows
+    objective = oracle_objective(block, inst, pipe)
+    assert np.all(bound <= objective + 1e-9)
+    assert np.any(np.isfinite(objective) & (bound < objective - 1.0))

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scopflearn.errors import DataError
+from scopflearn.errors import ConfigError, DataError
 from scopflearn.grid import ContingencySet, GridCase, build_factors, screen_contingencies
 from scopflearn.sampling import (
     Instance,
@@ -128,12 +128,10 @@ def test_x_normalization(m5_case, m5_cont):
 
 
 def test_config_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         PerturbationConfig(mu=1.5)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         PerturbationConfig(load_corr=-0.1)
-    with pytest.raises(DataError):
-        PerturbationConfig(z95=0.0)
 
 
 def _screen(glb, gub, gamma, d_total, kg):

@@ -163,10 +163,10 @@ def test_slack_gen_contingency_consistency(m5_case):
 def test_slack_line_contingency_outaged_entry(tri_case, tri_factors):
     pipe = PrimalPipeline(tri_case, tri_factors, screen_contingencies(tri_case, tri_factors))
     first = list(pipe.ke).index(0)
-    (_, eta, _), = pipe.line_outage_blocks(np.zeros((1, tri_case.n_line)))
+    eta = pipe.line_outage_slacks(np.zeros((1, tri_case.n_line)), True)[1]
     assert np.all(eta == 0.0)
     # hand-built overload: base flow on line 0 redistributes +1 onto line 1
-    (_, eta, _), = pipe.line_outage_blocks(np.array([[1.0, 0.0, 0.0]]))
+    eta = pipe.line_outage_slacks(np.array([[1.0, 0.0, 0.0]]), True)[1]
     eta = eta[0, first]
     assert eta[0] == 0.0
     assert np.isclose(eta[1], 1.0 - tri_case.fub[1])  # 1.0 > fub = 0.9
@@ -220,5 +220,4 @@ def test_slacks_nonnegative_fuzz(m5_case):
     rng = np.random.default_rng(5)
     f = rng.normal(scale=2.0, size=(200, m5_case.n_line))
     assert np.all(pipe.slack_and_sign(f)[0] >= 0.0)
-    for _, eta, _ in pipe.line_outage_blocks(f):
-        assert np.all(eta >= 0.0)
+    assert np.all(pipe.line_outage_slacks(f, True)[1] >= 0.0)
