@@ -19,12 +19,11 @@ from .cases import BUILTIN_CASES, get_case
 from .errors import ConfigError, DataError, DivergenceError, ScopflearnError
 from .grid import GridCase, build_factors, load_case, screen_contingencies
 from .layers import BISECT_ITERS
-from .oracle import label_dataset, oracle_solve
-from .report import evaluate_model, write_report_csv, write_training_log_csv
+from .oracle import RESOLUTION, label_dataset
+from .report import evaluate_model, power_units, write_report_csv, write_training_log_csv
 from .sampling import Z95, PerturbationConfig, sample_dataset
 from .storage import (
     Checkpoint,
-    Dataset,
     config_hash,
     dataset_from_instances,
     load_checkpoint,
@@ -60,8 +59,8 @@ def cmd_gen(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
     case, factors, cont = _grid_context(args.case)
-    pcfg = PerturbationConfig(mu=args.mu, load_corr=args.load_corr,
-                              factor_corr=args.factor_corr, seed=args.seed)
+    pcfg = PerturbationConfig(**{f.name: getattr(args, f.name)
+                                 for f in fields(PerturbationConfig)})
     instances, resamples = sample_dataset(case, pcfg, args.n, cont=cont)
     dataset = dataset_from_instances(case.name, args.seed, instances)
     out = Path(args.out)
@@ -106,6 +105,8 @@ def _load_run_config(args) -> tuple[dict, TrainerConfig]:
             file_values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_values) - set(values)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -114,6 +115,9 @@ def _load_run_config(args) -> tuple[dict, TrainerConfig]:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
+    for name in RUN_DEFAULTS:
+        if not isinstance(values[name], str):
+            raise ConfigError(f"{name} must be a string, got {values[name]!r}")
     if values["method"] not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {values['method']!r}")
     if not values["dataset"]:
@@ -180,6 +184,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    power_units(args.mva)   # a bad base is refused before any work
     case, factors, cont = _grid_context(args.case)
     ckpt = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.dataset)
@@ -197,11 +202,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    scale, unit = power_units(args.mva)
     shown = False
     if args.case:
         case, factors, cont = _grid_context(args.case)
-        scale = args.mva if args.mva else 1.0
-        unit = "MW" if args.mva else "p.u."
         print(f"case {case.name}: {case.n_bus} buses, {case.n_gen} generators, "
               f"{case.n_line} lines, {case.n_load} load units")
         print(f"  admissible outages: {cont.n_gen} generator, {cont.n_line} line "
@@ -212,8 +216,6 @@ def cmd_inspect(args) -> int:
         shown = True
     if args.dataset:
         ds = read_dataset(args.dataset)
-        scale = args.mva if args.mva else 1.0
-        unit = "MW" if args.mva else "p.u."
         print(f"dataset {args.dataset}: {ds.n} instances of case {ds.case_name} "
               f"(seed {ds.seed}, labeled: {ds.labeled})")
         if not ds.n:
@@ -255,11 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--case", required=True,
                      help=f"case file path or builtin name {sorted(BUILTIN_CASES)}")
     gen.add_argument("--n", type=int, required=True, help="number of instances")
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output dataset path")
-    gen.add_argument("--mu", type=float, default=0.5, help="load spread")
-    gen.add_argument("--load-corr", type=float, default=0.5)
-    gen.add_argument("--factor-corr", type=float, default=0.8)
+    for f in fields(PerturbationConfig):
+        gen.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
+                         default=f.default, help=f"PerturbationConfig.{f.name}")
     gen.set_defaults(func=cmd_gen)
 
     orc = sub.add_parser("oracle", help="attach reference labels to a dataset")
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--dataset", required=True)
     orc.add_argument("--out", default=None,
                      help="output path (default: overwrite the dataset)")
-    orc.add_argument("--resolution", type=float, default=1e-3)
+    orc.add_argument("--resolution", type=float, default=RESOLUTION)
     orc.set_defaults(func=cmd_oracle)
 
     tr = sub.add_parser("train", help="train one of the four methods")

@@ -30,6 +30,17 @@ def _asarray(x, dtype=float) -> np.ndarray:
     return a
 
 
+def _indices(x, name: str) -> np.ndarray:
+    """Integer bus indices; a value that is not integral is refused, never
+    truncated."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iu":
+        a = np.asarray(a, dtype=float)
+        if not np.all(np.isfinite(a) & (a == np.round(a))):
+            raise DataError(f"{name} must hold integer bus indices")
+    return _asarray(a, dtype=int)
+
+
 @dataclass(frozen=True)
 class GridCase:
     """Immutable per-unit network description.
@@ -59,7 +70,8 @@ class GridCase:
 
     def __post_init__(self):
         for attr in ("gen_bus", "load_bus", "line_from", "line_to"):
-            object.__setattr__(self, attr, _asarray(getattr(self, attr), dtype=int))
+            object.__setattr__(self, attr, _indices(getattr(self, attr), attr))
+        object.__setattr__(self, "slack_bus", int(_indices(self.slack_bus, "slack_bus")))
         for attr in ("glb", "gub0", "c0", "gamma", "susceptance", "flb", "fub", "d0"):
             object.__setattr__(self, attr, _asarray(getattr(self, attr)))
         self._validate()
@@ -84,16 +96,20 @@ class GridCase:
                 raise DataError(f"inconsistent {group} array lengths")
         if self.n_gen == 0 or self.n_line == 0 or self.n_load == 0:
             raise DataError("case needs at least one generator, line and load")
+        # flow limits alone may be infinite: an unconstrained line
+        for attr in ("glb", "gub0", "c0", "gamma", "susceptance", "d0"):
+            if not np.isfinite(getattr(self, attr)).all():
+                raise DataError(f"{attr} must be finite")
         if np.any(self.glb > self.gub0):
             raise DataError("generator lower bound exceeds upper bound")
         if np.any(self.susceptance <= 0):
             raise DataError("susceptance must be positive")
-        if np.any(self.flb > 0) or np.any(self.fub < 0):
+        if not np.all((self.flb <= 0) & (self.fub >= 0)):
             raise DataError("flow limits must satisfy flb <= 0 <= fub")
         if np.any(self.line_from == self.line_to):
             raise DataError("self-loop line")
-        if not (self.Pi > 0):
-            raise DataError("penalty_Pi must be positive")
+        if not (np.isfinite(self.Pi) and self.Pi > 0):
+            raise DataError("penalty_Pi must be positive and finite")
         if not _connected(self.n_bus, self.line_from, self.line_to):
             raise DataError("disconnected network")
 
@@ -270,8 +286,7 @@ def case_from_dict(data: dict, name: str = "case") -> GridCase:
         gens = data["generators"]
         lines = data["lines"]
         loads = data["loads"]
-        ids = [int(b["id"]) for b in buses]
-        if ids != list(range(len(buses))):
+        if [b["id"] for b in buses] != list(range(len(buses))):
             raise DataError("bus ids must be 0..n_bus-1 in order")
         return GridCase(
             n_bus=len(buses),
@@ -287,12 +302,12 @@ def case_from_dict(data: dict, name: str = "case") -> GridCase:
             fub=[ln["fub"] for ln in lines],
             load_bus=[ld["bus"] for ld in loads],
             d0=[ld["d0"] for ld in loads],
-            slack_bus=int(data["slack_bus"]),
+            slack_bus=data["slack_bus"],
             Pi=float(data["penalty_Pi"]),
             base_mva=float(data.get("base_mva", 100.0)),
             name=data.get("name", name),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed case file: {exc}") from exc
 
 

@@ -258,7 +258,6 @@ def binary_search_vjp(grad_gk: np.ndarray, rho: np.ndarray, kg: np.ndarray) -> n
 class PipelineState:
     """Everything the forward pass saved for reporting and backward."""
 
-    z: np.ndarray
     sig: np.ndarray
     glb: np.ndarray
     gub: np.ndarray
@@ -332,7 +331,7 @@ class PrimalPipeline:
         gcheck, sig = bound_map(z, glb, gub)
         gtilde, repair_ctx = repair_layer(gcheck, d_total, glb, gub)
         state = self._dispatch_state(gtilde, d, d_total, glb, gub, with_slacks)
-        state.z, state.sig, state.repair_ctx = z, sig, repair_ctx
+        state.sig, state.repair_ctx = sig, repair_ctx
         return state
 
     def evaluate_dispatch(self, g: np.ndarray, d: np.ndarray, gub: np.ndarray,
@@ -351,7 +350,7 @@ class PrimalPipeline:
         gk, nk, rho = binary_search_batch(g, d_total, self.kg, self.gamma, gub - glb, gub,
                                           self.t)
         h = gk.sum(-1) - d_total[:, None]
-        state = PipelineState(z=None, sig=None, glb=glb, gub=gub, repair_ctx=None,
+        state = PipelineState(sig=None, glb=glb, gub=gub, repair_ctx=None,
                               gtilde=g, gk=gk, nk=nk, rho=rho, h=h, d_total=d_total)
         if with_slacks:
             self._attach_slacks(state, d, with_slacks)

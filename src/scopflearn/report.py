@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .grid import ContingencySet, GridCase, LinearFactors
 from .layers import BISECT_ITERS, PrimalPipeline
 from .nn import MlpParams, mlp_forward
@@ -20,6 +20,16 @@ REPORT_COLUMNS = [
     "index", "objective", "oracle_objective", "gap_pct", "max_balance_viol",
     "max_slack_base", "max_slack_gen", "max_slack_line", "inference_ms",
 ]
+
+
+def power_units(mva: float | None) -> tuple[float, str]:
+    """Scale and unit of displayed power quantities: p.u. without an MVA
+    base, MW on a positive, finite one."""
+    if mva is None:
+        return 1.0, "p.u."
+    if not (np.isfinite(mva) and mva > 0):
+        raise ConfigError(f"mva must be positive and finite, got {mva:g}")
+    return mva, "MW"
 
 
 @dataclass
@@ -37,8 +47,7 @@ class EvalReport:
     n_labeled: int = 0
 
     def summary_lines(self, mva: float | None = None) -> list[str]:
-        unit = "p.u." if mva is None else "MW"
-        scale = 1.0 if mva is None else mva
+        scale, unit = power_units(mva)
         lines = [
             f"instances evaluated      : {len(self.rows)}",
             f"mean objective           : {self.mean_objective:.4f} $",

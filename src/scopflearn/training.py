@@ -16,8 +16,9 @@ keep a fixed penalty and skip the dataset pass.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,6 +60,14 @@ class TrainerConfig:
     bisect_iters: int = BISECT_ITERS
 
     def __post_init__(self):
+        # each field takes the kind of its default: an integer for the int
+        # fields, any real number for the float ones, never a bool
+        for f in fields(self):
+            value, integral = getattr(self, f.name), isinstance(f.default, int)
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                kind = "an integer" if integral else "a real number"
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if not 0 < self.tau < 1:
             raise ConfigError(f"tau must be in (0, 1), got {self.tau}")
         if not self.alpha > 1:
@@ -125,12 +134,8 @@ def _pdl_loss(pipe, state, batch, lam, rho, config):
 
 
 def _penalty_loss(pipe, state, batch, lam, rho, config):
-    """objective/obj_scale + rho sum h^2."""
-    h = state.h
-    loss = pipe.objective(state, batch.c) / config.obj_scale + rho * (h * h).sum(-1)
-    grad_gtilde, grad_gk = pipe.objective_grads(state, batch.c)
-    return (loss, grad_gtilde / config.obj_scale,
-            grad_gk / config.obj_scale + 2.0 * rho * h[..., None])
+    """objective/obj_scale + rho sum h^2: the augmented loss at 2 rho, lam 0."""
+    return primal_loss_terms(pipe, state, batch.c, 0.0, 2.0 * rho, config.obj_scale)
 
 
 def _distance_loss(pipe, state, batch, lam, rho, config):

@@ -140,6 +140,11 @@ def assert_views_of(flat, arrays):
     assert offset == flat.size
 
 
+# micro5 dispatch caps under which no dispatch survives the loss of unit 0:
+# at base load, 1.6 p.u., the other two units reach 0.75 p.u. at most
+M5_UNCOVERABLE_GUB = (1.0, 0.40, 0.35)
+
+
 # the ways a checkpoint file can be refused by load_checkpoint for what it
 # holds: the previous format, a stored bisection count the pipeline does not
 # accept, dims that disagree with the primal sizes, a flat buffer of the

@@ -4,7 +4,8 @@ Nothing here imports computational code from scopflearn beyond the plain
 GridCase data container: flows are recomputed by solving the bus angle
 system from scratch, contingency responses by exact piecewise-linear root
 finding, line outages by rebuilding the reduced network, and instance
-recoverability by a linear program.
+recoverability by a linear program.  The reference solver's former outage
+screen is kept as ``outage_screen``.
 
 It also holds the frozen-branch surrogate of the dispatch pipeline
 (``frozen_objective``), whose finite differences check the pipeline's
@@ -144,6 +145,21 @@ def recoverable_by_lp(glb, gub, gamma, d_total, kg, tol=1e-9):
         return False
     assert res.status == 0, res.message
     return -res.fun >= -tol
+
+
+def outage_screen(case, kg, g, d_total, gub, tol=1e-6):
+    """The reference solver's former per-row outage screen, kept as it was:
+    for each dispatch in g (B, n_gen), whether the survivors of every outage
+    k in kg cover the load within tol both with no response (e0 <= tol) and
+    with the full, capped one (e1 >= -tol)."""
+    droop = case.gamma * (gub - case.glb)
+    ok = np.ones(g.shape[0], bool)
+    for k in kg:
+        mask = np.arange(case.n_gen) != k
+        e0 = g[:, mask].sum(-1) - d_total
+        e1 = np.minimum(g + droop, gub)[:, mask].sum(-1) - d_total
+        ok &= (e0 <= tol) & (e1 >= -tol)
+    return ok
 
 
 def slack_from_flows(f, flb, fub):

@@ -8,12 +8,12 @@ import pytest
 from scopflearn import cli
 from scopflearn.cases import triangle3
 from scopflearn.cli import main
-from scopflearn.grid import build_factors, save_case, screen_contingencies
+from scopflearn.grid import build_factors, case_to_dict, save_case, screen_contingencies
 from scopflearn.layers import PrimalPipeline
 from scopflearn.nn import mlp_forward
 from scopflearn.storage import Dataset, load_checkpoint, read_dataset, save_checkpoint, write_dataset
 
-from conftest import BAD_CHECKPOINTS, write_checkpoint
+from conftest import BAD_CHECKPOINTS, M5_UNCOVERABLE_GUB, write_checkpoint
 from oracles import response_residuals
 
 
@@ -79,6 +79,42 @@ def test_gen_rejects_out_of_range_perturbation(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_gen_flag_spellings_and_defaults():
+    # gen's flags are derived from PerturbationConfig, as train's are from
+    # TrainerConfig; their spellings and defaults are part of the command line
+    gen = next(a for a in cli.build_parser()._actions
+               if a.dest == "command").choices["gen"]
+    flags = {s for a in gen._actions for s in a.option_strings}
+    assert flags == {"-h", "--help", "--case", "--n", "--out", "--seed", "--mu",
+                     "--load-corr", "--factor-corr"}
+    args = cli.build_parser().parse_args(["gen", "--case", "micro5", "--n", "1",
+                                          "--out", "d.bin"])
+    assert (args.seed, args.mu, args.load_corr, args.factor_corr) == (0, 0.5, 0.5, 0.8)
+    assert type(args.seed) is int
+
+
+# case-file faults that once printed a traceback or a silent number
+CASE_FAULTS = {
+    "susceptance_string": lambda c: c["lines"][0].update(susceptance="abc"),
+    "slack_bus_string": lambda c: c.update(slack_bus="x"),
+    "gen_bus_fraction": lambda c: c["generators"][0].update(bus=1.5),
+    "glb_nan": lambda c: c["generators"][0].update(glb=float("nan")),
+    "gamma_nan": lambda c: c["generators"][0].update(gamma=float("nan")),
+    "cost_nan": lambda c: c["generators"][0].update(cost=float("nan")),
+}
+
+
+@pytest.mark.parametrize("fault", CASE_FAULTS.values(), ids=CASE_FAULTS.keys())
+def test_inspect_refuses_a_malformed_case_file(tmp_path, capsys, fault):
+    data = case_to_dict(triangle3())
+    fault(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["inspect", "--case", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "data error" in captured.err
+
+
 def test_case_file_path_accepted(tmp_path):
     path = tmp_path / "tri.json"
     save_case(triangle3(), path)
@@ -117,6 +153,49 @@ def test_oracle_refuses_a_resolution_not_positive_and_finite(tmp_path, capsys, r
                 "--out", str(labeled), f"--resolution={resolution}"]) == 2
     assert "resolution must be positive and finite" in capsys.readouterr().err
     assert not labeled.exists()
+
+
+def test_oracle_warns_and_naive_training_skips_an_uncoverable_instance(tmp_path, capsys,
+                                                                      m5_case):
+    data = tmp_path / "d.bin"
+    assert run(["gen", "--case", "micro5", "--n", "3", "--seed", "1", "--out", str(data)]) == 0
+    ds = read_dataset(data)
+    write_dataset(data, Dataset(case_name=ds.case_name, seed=ds.seed,
+                                d=np.vstack([ds.d, m5_case.d0]), c=np.vstack([ds.c, m5_case.c0]),
+                                gub=np.vstack([ds.gub, M5_UNCOVERABLE_GUB]),
+                                seeds=np.append(ds.seeds, 3).astype(np.uint64)))
+    capsys.readouterr()
+    assert run(["oracle", "--case", "micro5", "--dataset", str(data),
+                "--resolution", "1.5e-2"]) == 0
+    out = capsys.readouterr().out
+    assert "labeled 3/4 instances" in out
+    assert "warning: 1 instances are contingency-infeasible" in out
+    assert run(["train", "--case", "micro5", "--method", "naive", "--dataset", str(data),
+                "--out-dir", str(tmp_path / "run"), "-K", "1", "-L", "2", "--batch", "2"]) == 0
+    assert "skipping 1 unlabeled (infeasible) records" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mva", ["0", "-100", "nan", "inf"])
+def test_mva_must_be_positive_and_finite(tmp_path, capsys, mva):
+    assert run(["inspect", "--case", "triangle3", f"--mva={mva}"]) == 2
+    # refused before the missing files are read
+    missing = str(tmp_path / "missing.bin")
+    assert run(["eval", "--case", "triangle3", "--checkpoint", missing, "--dataset", missing,
+                f"--mva={mva}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("mva must be positive and finite") == 2
+
+
+def test_eval_and_inspect_share_one_display_rule(capsys):
+    from scopflearn.report import EvalReport, power_units
+
+    assert power_units(None) == (1.0, "p.u.")
+    assert power_units(100.0) == (100.0, "MW")
+    assert run(["inspect", "--case", "triangle3", "--mva", "100"]) == 0
+    assert "total base load  : 100.000 MW" in capsys.readouterr().out
+    lines = EvalReport(max_balance_viol=0.5).summary_lines(mva=100.0)
+    assert "max |balance residual|   : 5.000e+01 MW" in lines
 
 
 def test_inspect_requires_target():
@@ -278,6 +357,37 @@ def test_train_unknown_config_key(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"not_a_key": 1}))
     assert run(["train", "--config", str(cfg_path)]) == 2
+
+
+@pytest.fixture(scope="module")
+def tri_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("data") / "t.bin"
+    assert run(["gen", "--case", "triangle3", "--n", "4", "--seed", "0",
+                "--out", str(data)]) == 0
+    return data
+
+
+# config files that once raised a TypeError, after writing config.json for
+# some, or trained on a bool
+WRONG_TYPES = {
+    "number": 5, "null": None, "lr_string": {"lr": "1e-3"}, "K_string": {"K": "abc"},
+    "case_int": {"case": 7}, "K_float": {"K": 2.5}, "batch_float": {"batch": 2.5},
+    "seed_float": {"seed": 1.5}, "bisect_iters_float": {"bisect_iters": 2.0},
+    "K_bool": {"K": True},
+}
+
+
+@pytest.mark.parametrize("content", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_train_config_refuses_a_value_of_the_wrong_type(tmp_path, capsys, monkeypatch,
+                                                        tri_data, content):
+    monkeypatch.chdir(tmp_path)   # where the default out_dir would go
+    if isinstance(content, dict):
+        content = {"case": "triangle3", "method": "penalty", "dataset": str(tri_data),
+                   "out_dir": "run", "K": 1, "L": 2, "batch": 2, **content}
+    (tmp_path / "cfg.json").write_text(json.dumps(content))
+    assert run(["train", "--config", "cfg.json"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_train_rejects_bisection_count_before_writing(tmp_path):

@@ -177,12 +177,15 @@ def test_disconnected_network_rejected():
         )
 
 
+TWO_BUS = dict(
+    n_bus=2, gen_bus=[0], glb=[0.0], gub0=[1.0], c0=[1.0], gamma=[1.0],
+    line_from=[0], line_to=[1], susceptance=[1.0], flb=[-1.0], fub=[1.0],
+    load_bus=[1], d0=[0.5], slack_bus=0,
+)
+
+
 def test_case_validation_errors():
-    base = dict(
-        n_bus=2, gen_bus=[0], glb=[0.0], gub0=[1.0], c0=[1.0], gamma=[1.0],
-        line_from=[0], line_to=[1], susceptance=[1.0], flb=[-1.0], fub=[1.0],
-        load_bus=[1], d0=[0.5], slack_bus=0,
-    )
+    base = TWO_BUS
     with pytest.raises(DataError):
         GridCase(**{**base, "glb": [2.0]})
     with pytest.raises(DataError):
@@ -193,6 +196,45 @@ def test_case_validation_errors():
         GridCase(**{**base, "slack_bus": 5})
     with pytest.raises(DataError):
         GridCase(**{**base, "Pi": 0.0})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("gen_bus", [0.5], "gen_bus must hold integer"),
+    ("load_bus", [np.nan], "load_bus must hold integer"),
+    ("line_to", [1.25], "line_to must hold integer"),
+    ("slack_bus", 0.5, "slack_bus must hold integer"),
+    ("glb", [np.nan], "glb must be finite"),
+    ("gub0", [np.inf], "gub0 must be finite"),
+    ("c0", [np.nan], "c0 must be finite"),
+    ("gamma", [np.nan], "gamma must be finite"),
+    ("susceptance", [np.inf], "susceptance must be finite"),
+    ("d0", [np.nan], "d0 must be finite"),
+    ("flb", [np.nan], "flow limits"),
+    ("Pi", np.inf, "penalty_Pi must be positive and finite"),
+])
+def test_case_refuses_a_fractional_index_or_non_finite_value(field, value, message):
+    with pytest.raises(DataError, match=message):
+        GridCase(**{**TWO_BUS, field: value})
+
+
+def test_case_takes_integral_float_indices_and_infinite_flow_limits():
+    case = GridCase(**{**TWO_BUS, "gen_bus": [0.0], "slack_bus": 0.0,
+                       "flb": [-np.inf], "fub": [np.inf]})
+    assert case.gen_bus.dtype.kind == "i" and case.gen_bus.tolist() == [0]
+    assert type(case.slack_bus) is int and case.slack_bus == 0
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c.update(penalty_Pi="x"),
+    lambda c: c["loads"][0].update(bus="2.5"),
+    lambda c: c["buses"][1].update(id=1.5),
+    lambda c: c["lines"][0].update(fub="abc"),
+], ids=["penalty_Pi_string", "load_bus_fraction", "bus_id_fraction", "fub_string"])
+def test_case_file_value_errors_are_data_errors(m5_case, edit):
+    data = case_to_dict(m5_case)
+    edit(data)
+    with pytest.raises(DataError):
+        case_from_dict(data)
 
 
 def test_case_roundtrip(tmp_path, m5_case):

@@ -13,10 +13,11 @@ from scopflearn.oracle import (
     oracle_objective,
     oracle_solve,
 )
-from scopflearn.sampling import PerturbationConfig, sample_dataset
+from scopflearn.sampling import Instance, PerturbationConfig, input_vector, sample_dataset
 from scopflearn.storage import dataset_from_instances
 
-from oracles import full_objective, reference_slacks
+from conftest import M5_UNCOVERABLE_GUB
+from oracles import full_objective, outage_screen, reference_slacks
 
 
 @pytest.fixture(scope="module")
@@ -263,3 +264,56 @@ def test_cheap_lower_bound_above_one_slack_block(m5):
     objective = oracle_objective(block, inst, pipe)
     assert np.all(bound <= objective + 1e-9)
     assert np.any(np.isfinite(objective) & (bound < objective - 1.0))
+
+
+@pytest.mark.parametrize("name, spacing, index", [("micro5", 1.5e-2, 0),
+                                                  ("triangle3", 1e-4, 1)])
+def test_cheap_lower_bound_is_f_without_generator_outage_slacks(name, spacing, index,
+                                                                 monkeypatch):
+    """On lattice blocks of three shapes -- within one slack block (the
+    dense form), the whole lattice above one (the screened pairs), and
+    blocks of 997 rows -- the bound never exceeds F on the same block, bit
+    for bit, and is +inf exactly where the former outage screen rejects."""
+    import scopflearn.oracle as oracle
+    from scopflearn import cases
+
+    case = getattr(cases, name)()
+    factors = build_factors(case)
+    cont = screen_contingencies(case, factors)
+    pipe = PrimalPipeline(case, factors, cont, t=ORACLE_BISECT_ITERS)
+    inst = sample_dataset(case, PerturbationConfig(seed=35), index + 1, cont=cont)[0][index]
+    lattice = oracle._slice_lattice(case.glb, inst.gub, inst.d_total, spacing)
+    one_block = SLACK_BLOCK // (pipe.ke.size * case.n_line)
+    assert one_block < lattice.shape[0] <= oracle.CHUNK
+    monkeypatch.setattr(oracle, "CHUNK", 997)
+    rejected = 0
+    for block in [lattice[:100], lattice, *oracle._blocks(lattice)]:
+        bound = oracle._cheap_lower_bound(pipe, inst, block)
+        objective = oracle_objective(block, inst, pipe)
+        assert np.all(bound <= objective)
+        screened = outage_screen(case, cont.gen_contingencies, block, inst.d_total, inst.gub)
+        assert np.array_equal(np.isinf(bound), ~screened)
+        rejected += int((~screened).sum())
+    assert rejected > 0
+
+
+def test_oracle_flags_an_instance_no_dispatch_can_secure(m5):
+    case, factors, cont = m5
+    gub = np.array(M5_UNCOVERABLE_GUB)
+    bad = Instance(d=case.d0.copy(), c=case.c0.copy(), gub=gub,
+                   x=input_vector(case, case.d0, case.c0, gub))
+    res = oracle_solve(bad, case, factors, cont, resolution=1e-3)
+    assert not res.feasible and res.obj_star == np.inf
+    assert np.isnan(res.g_star).all() and np.isnan(res.tol_certificate)
+    # every lattice row fails the outage screen, so only the probe points
+    # are evaluated in full: a few hundred of 11,476 rows
+    import scopflearn.oracle as oracle
+    lattice = oracle._slice_lattice(case.glb, gub, bad.d_total, 1e-3)
+    assert res.evals < lattice.shape[0] / 20
+
+    good = sample_dataset(case, PerturbationConfig(seed=36), 1, cont=cont)[0][0]
+    ds = dataset_from_instances(case.name, 36, [good, bad])
+    labeled = label_dataset(ds, case, factors, cont, resolution=1.5e-2)
+    assert np.isfinite(labeled.obj_star[0]) and np.isfinite(labeled.g_star[0]).all()
+    assert np.isnan(labeled.obj_star[1]) and np.isnan(labeled.tol_certificate[1])
+    assert np.isnan(labeled.g_star[1]).all()

@@ -61,6 +61,17 @@ def test_config_validation():
     assert TrainerConfig().total_steps == 80_000
 
 
+def test_trainer_config_types():
+    # the float fields take any real number, integers included; the int
+    # fields any integer, numpy's included; a bool neither
+    cfg = TrainerConfig(K=np.int64(2), rho0=1, lr=np.float64(1e-3))
+    assert (cfg.K, cfg.rho0, cfg.lr) == (2, 1, 1e-3)
+    for bad in ({"K": 2.0}, {"L": "3"}, {"seed": True}, {"tau": False}, {"lr": "1e-3"},
+                {"bisect_iters": np.float64(8.0)}):
+        with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be an? "):
+            TrainerConfig(**bad)
+
+
 def test_primal_loss_arithmetic(tri_case_mod, tri_factors_mod, tri_cont_mod, tri_data):
     pipe = PrimalPipeline(tri_case_mod, tri_factors_mod, tri_cont_mod)
     inst = tri_data[0]
