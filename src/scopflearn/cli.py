@@ -226,8 +226,9 @@ def cmd_inspect(args) -> int:
                   f"{totals.max() * scale:.3f}] {unit}")
             if ds.labeled:
                 ok = np.isfinite(ds.obj_star)
-                print(f"  labels: {int(ok.sum())}/{ds.n} feasible, "
-                      f"mean reference objective {np.nanmean(ds.obj_star):.2f} $")
+                mean = (f"mean reference objective {np.nanmean(ds.obj_star):.2f} $"
+                        if ok.any() else "no label is feasible")
+                print(f"  labels: {int(ok.sum())}/{ds.n} feasible, {mean}")
         shown = True
     if args.checkpoint:
         ck = load_checkpoint(args.checkpoint)

@@ -123,7 +123,7 @@ def balanced_box_vertices(glb: np.ndarray, gub: np.ndarray, total: float) -> np.
     return np.array(points) if points else np.zeros((0, n))
 
 
-def _solvable(case: GridCase, cont: ContingencySet | None, d_total: float, gub: np.ndarray) -> bool:
+def _solvable(case: GridCase, cont: ContingencySet, d_total: float, gub: np.ndarray) -> bool:
     """Exact instance-level solvability screen.
 
     Base case: total load D inside [sum glb, sum gub].  Contingencies: some
@@ -149,7 +149,7 @@ def _solvable(case: GridCase, cont: ContingencySet | None, d_total: float, gub: 
     glb = case.glb
     if not (glb.sum() <= d_total <= gub.sum()):
         return False
-    if cont is None or cont.n_gen == 0:
+    if cont.n_gen == 0:
         return True
     kg = np.asarray(cont.gen_contingencies, int)
     r = case.gamma * (gub - glb)
@@ -171,7 +171,7 @@ def make_instance(
     case: GridCase,
     config: PerturbationConfig,
     rng: np.random.Generator,
-    cont: ContingencySet | None = None,
+    cont: ContingencySet,
     seed: int = 0,
 ) -> tuple[Instance, int]:
     """Sample one instance; returns (instance, resample_count).
@@ -198,7 +198,7 @@ def sample_dataset(
     case: GridCase,
     config: PerturbationConfig,
     n: int,
-    cont: ContingencySet | None = None,
+    cont: ContingencySet,
 ) -> tuple[list[Instance], int]:
     """Sample n instances deterministically from config.seed.
 

@@ -11,6 +11,9 @@ Blob layout (little-endian):
 
 Array dtypes are recorded in the metadata (numpy dtype strings).  Writers
 never embed timestamps, so identical inputs produce identical bytes.
+read_blob gives each array back as stored; read_dataset and load_checkpoint
+then refuse arrays whose names, dtypes or shapes are not the ones the rest
+of their metadata fixes.
 """
 
 from __future__ import annotations
@@ -72,10 +75,10 @@ def _metadata_of(path):
         raise DataError(f"corrupt metadata in {path}: {exc!r}") from exc
 
 
-def read_blob(path, magic: bytes, into=None):
-    """Metadata, arrays and flags of a blob.  Each array is read straight
-    into its destination: into(meta) gives one array per stored name, of the
-    stored shape and dtype; by default each is a fresh array."""
+def read_blob(path, magic: bytes):
+    """Metadata, arrays and flags of a blob: a fresh array of the stored
+    shape and dtype for each stored name, read in stored order.  Its
+    magic, version and sizes are checked before anything is allocated."""
     path = Path(path)
     try:
         with open(path, "rb") as fh:
@@ -85,7 +88,6 @@ def read_blob(path, magic: bytes, into=None):
             version, flags, meta_len = struct.unpack("<IIQ", head[8:])
             if version != CONTAINER_VERSION:
                 raise DataError(f"unsupported container version {version} in {path}")
-            # sizes are checked against the file before anything is allocated
             size = os.fstat(fh.fileno()).st_size
             if 24 + meta_len > size:
                 raise DataError(f"truncated blob {path}")
@@ -93,6 +95,9 @@ def read_blob(path, magic: bytes, into=None):
                 meta = json.loads(fh.read(meta_len).decode())
                 specs = [(spec["name"], np.dtype(spec["dtype"]), tuple(spec["shape"]))
                          for spec in meta["arrays"]]
+                if len({name for name, _, _ in specs}) != len(specs):
+                    raise DataError(f"{path} names one array twice")
+                # raw bytes read into an object array would be pointers
                 if any(dtype.hasobject for _, dtype, _ in specs):
                     raise DataError(f"stored arrays of {path} hold Python objects")
                 need = 24 + meta_len + sum(dtype.itemsize * math.prod(shape)
@@ -101,20 +106,26 @@ def read_blob(path, magic: bytes, into=None):
                     raise DataError(f"truncated blob {path}")
                 if need < size:
                     raise DataError(f"{path} holds {size - need} bytes beyond its arrays")
-                arrays = into(meta) if into else {
-                    name: np.empty(shape, dtype) for name, dtype, shape in specs}
-                if sorted(name for name, _, _ in specs) != sorted(arrays):
-                    raise DataError(f"stored arrays of {path} are not the expected ones")
-            for name, dtype, shape in specs:
-                out = arrays[name]
-                if out.shape != shape or out.dtype != dtype:
-                    raise DataError(f"stored array {name!r} {dtype.str}{shape} and its "
-                                    f"destination {out.dtype}{out.shape} do not match in {path}")
+                arrays = {name: np.empty(shape, dtype) for name, dtype, shape in specs}
+            for out in arrays.values():
                 if fh.readinto(out) != out.nbytes:
                     raise DataError(f"truncated blob {path}")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return meta, arrays, flags
+
+
+def _check_arrays(path, arrays: dict, expected: dict) -> None:
+    """Refuses read arrays other than the expected ones: expected gives
+    each name's dtype string and shape, as the metadata fixes them."""
+    if arrays.keys() != expected.keys():
+        raise DataError(f"stored arrays {sorted(arrays)} of {path} are not the "
+                        f"expected {sorted(expected)}")
+    for name, (dtype, shape) in expected.items():
+        arr = arrays[name]
+        if arr.dtype.str != dtype or arr.shape != shape:
+            raise DataError(f"stored array {name!r} {arr.dtype.str}{list(arr.shape)} and "
+                            f"the expected {dtype}{list(shape)} do not match in {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +184,19 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    # each array is read into the dtype write_dataset stores, so a stored
-    # dtype that differs (another byte order, say) is refused, not decoded
-    meta, arrays, flags = read_blob(path, DATASET_MAGIC, lambda meta: {
-        spec["name"]: np.empty(spec["shape"], "<u8" if spec["name"] == "seeds" else "<f8")
-        for spec in meta["arrays"]})
+    """A dataset whose arrays are the ones write_dataset stores, of its
+    dtypes and of the shapes the stored n, n_load and n_gen fix."""
+    meta, arrays, flags = read_blob(path, DATASET_MAGIC)
     labeled = bool(flags & FLAG_LABELED)
     with _metadata_of(path):
-        return Dataset(
-            case_name=meta["case"],
-            seed=int(meta["seed"]),
-            d=arrays["d"],
-            c=arrays["c"],
-            gub=arrays["gub"],
-            seeds=arrays["seeds"],
-            g_star=arrays["g_star"] if labeled else None,
-            obj_star=arrays["obj_star"] if labeled else None,
-            tol_certificate=arrays["tol_certificate"] if labeled else None,
-        )
+        n, n_load, n_gen = meta["n"], meta["n_load"], meta["n_gen"]
+        expected = {"d": ("<f8", (n, n_load)), "c": ("<f8", (n, n_gen)),
+                    "gub": ("<f8", (n, n_gen)), "seeds": ("<u8", (n,))}
+        if labeled:
+            expected |= {"g_star": ("<f8", (n, n_gen)), "obj_star": ("<f8", (n,)),
+                         "tol_certificate": ("<f8", (n,))}
+        _check_arrays(path, arrays, expected)
+        return Dataset(case_name=meta["case"], seed=int(meta["seed"]), **arrays)
 
 
 def dataset_from_instances(case_name: str, seed: int, instances: list[Instance]) -> Dataset:
@@ -220,17 +226,15 @@ class Checkpoint:
     trainer: dict | None = None
 
 
-def _net_arrays(prefix: str, params: MlpParams, adam: AdamState) -> list:
-    """The three stored arrays of a network: its flat parameter buffer and
-    its two Adam moments.  The stored sizes and use_layernorm fix each
-    parameter's place in flat (nn._layout)."""
-    return [(f"{prefix}.flat", params.flat), (f"{prefix}.adam_m", adam.m),
-            (f"{prefix}.adam_v", adam.v)]
+# the stored arrays of a network, each named "<prefix>.<part>": its flat
+# parameter buffer and its two Adam moments, laid out like flat; the stored
+# sizes and use_layernorm fix each parameter's place in flat (nn._layout)
+NET_ARRAYS = ("flat", "adam_m", "adam_v")
 
 
 def _pack_net(prefix: str, params: MlpParams, adam: AdamState, arrays: list) -> dict:
-    arrays += [(name, buf.astype("<f8", copy=False))
-               for name, buf in _net_arrays(prefix, params, adam)]
+    arrays += [(f"{prefix}.{part}", buf.astype("<f8", copy=False))
+               for part, buf in zip(NET_ARRAYS, (params.flat, adam.m, adam.v))]
     return {
         "sizes": list(params.sizes),
         "use_layernorm": params.use_layernorm,
@@ -241,27 +245,17 @@ def _pack_net(prefix: str, params: MlpParams, adam: AdamState, arrays: list) -> 
     }
 
 
-def _unpack_net(prefix: str, spec: dict, stored: dict,
-                arrays: dict) -> tuple[MlpParams, AdamState]:
-    """One network whose parameter and Adam moment buffers are still to be
-    filled; adds to arrays each buffer under the name it is stored at.
-    stored: the stored shape of each array."""
-    sizes, use_layernorm = tuple(spec["sizes"]), spec["use_layernorm"]
-    # refused before anything is allocated: unlike the stored shapes, the
-    # sizes are not bounded by the file's length
-    if stored[f"{prefix}.flat"] != [param_count(sizes, use_layernorm)]:
-        raise DataError(f"stored array {prefix}.flat of shape {stored[f'{prefix}.flat']} "
-                        f"and the network sizes {list(sizes)} do not match")
-    params = MlpParams(sizes=sizes, use_layernorm=use_layernorm)
+def _unpack_net(prefix: str, spec: dict, arrays: dict) -> tuple[MlpParams, AdamState]:
+    """The network stored under prefix, wrapping its read arrays."""
+    params = MlpParams(tuple(spec["sizes"]), spec["use_layernorm"], arrays[f"{prefix}.flat"])
     adam = AdamState(
-        m=np.empty_like(params.flat),
-        v=np.empty_like(params.flat),
+        m=arrays[f"{prefix}.adam_m"],
+        v=arrays[f"{prefix}.adam_v"],
         step=int(spec["adam_step"]),
         beta1=float(spec["adam_beta1"]),
         beta2=float(spec["adam_beta2"]),
         eps=float(spec["adam_eps"]),
     )
-    arrays.update(_net_arrays(prefix, params, adam))
     return params, adam
 
 
@@ -282,23 +276,20 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """A checkpoint whose fields are checked: the primal network's sizes
-    match the stored dim_x and n_gen, and a stored bisection count is an
-    integer the pipeline accepts."""
-    nets = {}
-
-    def into(meta):
-        stored = {spec["name"]: spec["shape"] for spec in meta["arrays"]}
-        arrays = {}
-        for prefix, key in (("p", "primal"), ("d", "dual")):
-            if key in meta:
-                nets[key] = _unpack_net(prefix, meta[key], stored, arrays)
-        return arrays
-
-    meta, _, _ = read_blob(path, CHECKPOINT_MAGIC, into)
+    """A checkpoint whose fields are checked: each network's three arrays
+    have the length its sizes fix, the primal network's sizes match the
+    stored dim_x and n_gen, and a stored bisection count is an integer the
+    pipeline accepts."""
+    meta, arrays, _ = read_blob(path, CHECKPOINT_MAGIC)
     with _metadata_of(path):
-        primal, primal_adam = nets["primal"]
-        dual, dual_adam = nets.get("dual", (None, None))
+        nets = {key: (prefix, meta[key]) for prefix, key in (("p", "primal"), ("d", "dual"))
+                if key in meta}
+        _check_arrays(path, arrays, {
+            f"{prefix}.{part}": ("<f8", (param_count(tuple(spec["sizes"]),
+                                                     spec["use_layernorm"]),))
+            for prefix, spec in nets.values() for part in NET_ARRAYS})
+        primal, primal_adam = _unpack_net(*nets["primal"], arrays)
+        dual, dual_adam = _unpack_net(*nets["dual"], arrays) if "dual" in nets else (None, None)
         ckpt = Checkpoint(
             method=meta["method"],
             case_name=meta["case"],

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -13,7 +14,8 @@ from scopflearn.layers import PrimalPipeline
 from scopflearn.nn import mlp_forward
 from scopflearn.storage import Dataset, load_checkpoint, read_dataset, save_checkpoint, write_dataset
 
-from conftest import BAD_CHECKPOINTS, M5_UNCOVERABLE_GUB, write_checkpoint
+from conftest import (BAD_CHECKPOINTS, BAD_DATASETS, M5_UNCOVERABLE_GUB, write_checkpoint,
+                      write_labeled_dataset)
 from oracles import response_residuals
 
 
@@ -211,6 +213,37 @@ def test_inspect_empty_dataset(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0 instances of case triangle3" in out
     assert "holds no instances" in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_inspect_dataset_with_no_feasible_label(tmp_path, capsys):
+    data = tmp_path / "l.bin"
+    ds = read_dataset(write_labeled_dataset(data))
+    # the NaN labels the oracle gives an instance it finds infeasible
+    write_dataset(data, dataclasses.replace(ds, g_star=np.full_like(ds.g_star, np.nan),
+                                            obj_star=np.full(ds.n, np.nan),
+                                            tol_certificate=np.full(ds.n, np.nan)))
+    assert run(["inspect", "--dataset", str(data)]) == 0
+    out = capsys.readouterr().out
+    assert "labels: 0/3 feasible, no label is feasible" in out
+    assert "nan" not in out
+
+
+@pytest.mark.parametrize("fault", BAD_DATASETS)
+def test_inconsistent_dataset_exits_3(tmp_path, capsys, fault):
+    good = str(write_labeled_dataset(tmp_path / "good.bin"))
+    assert run(["inspect", "--dataset", good]) == 0
+    data = str(write_labeled_dataset(tmp_path / "bad.bin", fault))
+    ckpt = str(write_checkpoint(tmp_path / "ck.bin"))
+    capsys.readouterr()
+    assert run(["inspect", "--dataset", data]) == 3
+    assert run(["eval", "--case", "micro5", "--checkpoint", ckpt, "--dataset", data]) == 3
+    assert run(["train", "--case", "micro5", "--method", "penalty", "--dataset", data,
+                "--out-dir", str(tmp_path / "run"), "-K", "1", "-L", "2", "--batch", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("data error") == 3
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("fault", BAD_CHECKPOINTS)

@@ -8,6 +8,7 @@ from scopflearn.nn import AdamState, init_mlp
 from scopflearn.sampling import PerturbationConfig, sample_dataset
 from scopflearn.storage import (
     CHECKPOINT_MAGIC,
+    DATASET_MAGIC,
     Checkpoint,
     Dataset,
     canonical_json,
@@ -20,7 +21,8 @@ from scopflearn.storage import (
     write_dataset,
 )
 
-from conftest import BAD_CHECKPOINTS, assert_views_of, write_checkpoint
+from conftest import (BAD_CHECKPOINTS, BAD_DATASETS, assert_views_of, write_checkpoint,
+                      write_labeled_dataset)
 
 
 def _dataset(case, cont, seed=40, n=10):
@@ -161,7 +163,8 @@ def test_corrupt_metadata_is_a_data_error(tmp_path, m5_case, m5_cont):
                                   primal=primal, primal_adam=AdamState.for_params(primal),
                                   dual=primal, dual_adam=AdamState.for_params(primal)))
     p.write_bytes(whole)
-    for path, read in ((p, read_dataset), (q, load_checkpoint)):
+    r = write_labeled_dataset(tmp_path / "l.bin")
+    for path, read in ((p, read_dataset), (r, read_dataset), (q, load_checkpoint)):
         blob = path.read_bytes()
         for i in range(24, 24 + int.from_bytes(blob[16:24], "little")):
             for flip in (0x01, 0x20, 0xFF):
@@ -170,6 +173,28 @@ def test_corrupt_metadata_is_a_data_error(tmp_path, m5_case, m5_cont):
                     read(path)
                 except DataError:
                     pass
+
+
+def test_blob_naming_one_array_twice_is_a_data_error(tmp_path, m5_case, m5_cont):
+    # c renamed d: the sizes still add up, so only the names show the fault
+    p = tmp_path / "d.bin"
+    write_dataset(p, _dataset(m5_case, m5_cont, n=3))
+    whole = p.read_bytes()
+    meta = whole[24:24 + int.from_bytes(whole[16:24], "little")]
+    assert meta.count(b'"name":"c"') == 1
+    p.write_bytes(_with_metadata(whole, meta.replace(b'"name":"c"', b'"name":"d"')))
+    with pytest.raises(DataError):
+        read_blob(p, DATASET_MAGIC)
+    with pytest.raises(DataError):
+        read_dataset(p)
+
+
+@pytest.mark.parametrize("fault", BAD_DATASETS)
+def test_dataset_arrays_must_match_its_metadata(tmp_path, fault):
+    good = read_dataset(write_labeled_dataset(tmp_path / "good.bin"))
+    assert good.labeled and good.n == 3
+    with pytest.raises(DataError, match="do not match|not the expected"):
+        read_dataset(write_labeled_dataset(tmp_path / "bad.bin", fault))
 
 
 def test_checkpoint_roundtrip(tmp_path):
