@@ -100,6 +100,9 @@ class GridCase:
         for attr in ("glb", "gub0", "c0", "gamma", "susceptance", "d0"):
             if not np.isfinite(getattr(self, attr)).all():
                 raise DataError(f"{attr} must be finite")
+        # a negative droop would let the post-outage balance residual fall
+        if np.any(self.gamma < 0):
+            raise DataError("gamma must be nonnegative")
         if np.any(self.glb > self.gub0):
             raise DataError("generator lower bound exceeds upper bound")
         if np.any(self.susceptance <= 0):

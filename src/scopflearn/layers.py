@@ -12,6 +12,28 @@ backward conventions are: the repair branch and the per-generator cap flags
 are frozen from the forward pass, and the converged response signal is
 treated as a constant (no gradient through the bisection root).
 
+The bisection layer returns what t steps of bisection on the response signal
+n return, without taking them.  The residual
+e(n) = sum(min(g + n gamma ghat, gub) * survivors) - d is made of operations
+each monotone in n, in a fixed order, and rounding is monotone; so with
+gamma ghat >= 0 the test "e(n) > 0" turns from false to true once as n
+grows (a NaN counts as false, and sits only between -inf below and +inf
+above).  The loop's midpoints are then a binary search for that switch on
+the grid of step 2^-(t+1), which ends in the one cell [c, c + 1] (in grid
+steps) with e not positive at c, or c = 0, and positive at c + 1, or
+c + 1 = 2^(t+1).  The cell's odd end is the final midpoint; its even end is
+the last midpoint on the other side of the switch, or 0 or 1, which the loop
+never evaluates.  Every other midpoint lies on a side of the switch whose
+end of the cell ran after it with an |e| no larger, so the answer is the
+final midpoint unless the even end has the strictly smaller |e|.  The layer
+guesses c from the piecewise-linear root, certifies it by e at both ends in
+the loop's own operation order, gallops and bisects where the guess fails,
+and reads all t + 1 midpoints only where e is NaN at an odd lower end (an
+earlier midpoint of -inf may then win).  Negative droop, and an outaged unit
+whose g + n gamma ghat overflows below an infinite cap (its term
+min(...) * 0 would turn NaN as n grows), are refused with a DataError; NaN
+passes.
+
 Line-outage slacks take one of two forms, chosen by batch size alone.  A
 batch whose post-outage flows fit one block of SLACK_BLOCK elements forms
 them as one dense (batch, line outage, line) block.  A larger batch is first
@@ -41,12 +63,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .grid import ContingencySet, GridCase, LinearFactors
 
 DEGENERATE_TOL = 1e-12
-# bisection iterations: the default, and the most that help, since beyond 52
-# the search step falls below the response signal's last bit
+# bisection iterations t: the default, and the most allowed.  t sets the
+# grid of step 2^-(t+1) that the signal is read on; up to t = 52 its
+# 2^(t+1) cells, and every point of it in [0, 1], are exact in float64
 BISECT_ITERS = 25
 MAX_BISECT_ITERS = 52
 # elements of one float64 temporary in the line-outage slacks (512 KB): a
@@ -175,67 +198,189 @@ def binary_search_batch(g, d_total, kg, gamma, ghat, gub, t: int = BISECT_ITERS)
     contingencies at once, then emit the dispatches, signals and cap flags
     evaluated at the returned signals.
 
-    Returns the evaluated signal with the smallest absolute residual (the
-    final bracketing midpoint is evaluated as a candidate as well, so the
-    residual never grows when t does).  When no balancing signal exists the
-    search converges to the 0 or 1 boundary and the signed residual is left
-    to the caller.  A cap flag is set only where the uncapped response
-    strictly exceeds the upper bound.
+    The result is the t-step loop's, bit for bit, read off without it: the
+    loop starts at n = 1/2, steps down where the residual
+    e(n) = sum(min(g + n gamma ghat, gub) * survivors) - d_total is positive
+    and up elsewhere, halving the step, and returns the last of its t + 1
+    midpoints with the least |e| (1/2 if every |e| is NaN).  Since e is
+    monotone in n, only the grid cell where e turns positive, and e at its
+    two ends, decide that (see the module docstring).  When no balancing
+    signal exists the signal runs to the 0 or 1 boundary and the signed
+    residual is left to the caller.  A cap flag is set only where the
+    uncapped response strictly exceeds the upper bound.
 
-    g: (B, G); d_total: (B,); ghat, gub: (B, G); kg: contingency indices (K,).
-    Returns gk (B, K, G), nk (B, K), rho (B, K, G).
+    Requires gamma ghat >= 0, and no outaged unit whose g + n gamma ghat
+    overflows below an infinite gub; refuses either with a DataError.  NaN
+    passes.  g: (B, G); d_total: (B,); ghat, gub: (B, G); kg: contingency
+    indices (K,).  Returns gk (B, K, G), nk (B, K), rho (B, K, G).
     """
     if not 1 <= t <= MAX_BISECT_ITERS:
         raise ConfigError(
             f"bisection iteration count must be in [1, {MAX_BISECT_ITERS}], got {t}")
     g = np.atleast_2d(np.asarray(g, float))
     gub = np.atleast_2d(np.asarray(gub, float))
-    ghat = np.atleast_2d(np.asarray(ghat, float))
     d_total = np.atleast_1d(np.asarray(d_total, float))
     kg = np.asarray(kg, int)
-    n_batch, n_gen = g.shape
-    n_cont = kg.size
-    # the outaged unit of each contingency gets zero base, droop and cap, so
-    # the loop needs no mask; its dispatch is 0 (NaN for a NaN dispatch)
-    survivors = np.ones((n_cont, n_gen))
-    survivors[np.arange(n_cont), kg] = 0.0
-    base = g[:, None, :] * survivors
-    droop = (np.asarray(gamma, float) * ghat)[:, None, :] * survivors
-    cap = gub[:, None, :] * survivors
-    target = d_total[:, None]
-
-    n = np.full((n_batch, n_cont), 0.5)
-    best_n = n.copy()
-    best_abs = np.full((n_batch, n_cont), np.inf)
-    gk = np.empty((n_batch, n_cont, n_gen))
-    e, abs_e = np.empty((2, n_batch, n_cont))
-    mask = np.empty((n_batch, n_cont), bool)
-    n_col = n[..., None]
-    step = 0.25
-    for i in range(t + 1):
-        np.multiply(n_col, droop, out=gk)
-        gk += base
-        np.minimum(gk, cap, out=gk)
-        np.add.reduce(gk, -1, out=e)
-        e -= target
-        np.abs(e, out=abs_e)
-        # the last smallest |e| wins; NaN never does
-        np.less_equal(abs_e, best_abs, out=mask)
-        np.copyto(best_n, n, where=mask)
-        np.copyto(best_abs, abs_e, where=mask)
-        if i == t:
-            break   # the final midpoint was a candidate too
-        # the next midpoint, n - step where e > 0, else n + step: the
-        # bracket's exact midpoint, since every midpoint is dyadic, while the
-        # step stays above n's last bit (t <= MAX_BISECT_ITERS)
-        np.greater(e, 0.0, out=mask)
-        n += step
-        np.subtract(n, 2.0 * step, out=n, where=mask)
-        step *= 0.5
-    raw = best_n[..., None] * droop + base
-    rho = (raw > cap).astype(float)
-    gk = np.minimum(raw, cap, out=raw)
+    droop = np.asarray(gamma, float) * np.atleast_2d(np.asarray(ghat, float))
+    if (droop < 0.0).any():
+        raise DataError("the response needs gamma * ghat >= 0; a negative droop "
+                        "(an upper bound below the lower one) lets the residual fall")
+    # the outaged unit enters as min(g + n droop, gub) * 0: 0, unless g + n
+    # droop overflows below an infinite cap, which turns it NaN above some n
+    overflow = (g + droop) == np.inf
+    if overflow.any() and np.any((overflow & (gub == np.inf) & np.isfinite(g)
+                                  & np.isfinite(droop))[:, kg]):
+        raise DataError("an outaged unit's response g + n * gamma * ghat overflows")
+    survivors = np.ones((kg.size, g.shape[1]))
+    survivors[np.arange(kg.size), kg] = 0.0
+    best_n = _loop_signal(g, droop, gub, survivors, d_total, kg, t)
+    raw = np.multiply(best_n[..., None], droop[:, None, :])
+    np.add(g[:, None, :], raw, out=raw)
+    rho = np.greater(raw, gub[:, None, :]) * survivors
+    gk = np.minimum(raw, gub[:, None, :], out=raw)
+    gk *= survivors
     return gk, best_n, rho
+
+
+def _loop_signal(g, droop, gub, survivors, d_total, kg, t: int) -> np.ndarray:
+    """The signal nk (B, K) that the t-step loop returns."""
+    cells, h = 2 ** (t + 1), 0.5 ** (t + 1)
+    args = (g[:, None, :], droop[:, None, :], gub[:, None, :], survivors, d_total[:, None])
+    # the guessed cell [lo, lo + 1] (in steps h) holds the switch where e
+    # is not positive at lo and positive at lo + 1; the ends 0 and 1 count
+    # as not positive and positive, and NaN as not positive
+    lo = _cell_guess(g, droop, gub, d_total, kg, cells)
+    buf = np.empty(lo.shape + g.shape[-1:])
+    e_lo = _residual(lo * h, *args, out=buf)
+    e_hi = _residual((lo + 1) * h, *args, out=buf)
+    down = (e_lo > 0.0) & (lo > 0)
+    miss = down | ~(e_hi > 0.0) & (lo < cells - 1)
+    if miss.any():
+        miss = np.flatnonzero(miss)
+        _settle_cells(miss, down.ravel()[miss], lo, e_lo, e_hi, cells, h,
+                      g, droop, gub, survivors, d_total)
+
+    # the final midpoint, the odd end, wins ties; an end at 0 or 1 never ran
+    a_lo, a_hi = np.abs(e_lo, out=e_lo), np.abs(e_hi, out=e_hi)
+    a_lo[lo == 0] = np.nan
+    a_hi[lo == cells - 1] = np.nan
+    odd = (lo & 1).astype(bool)
+    best_n = (lo + np.where(odd, a_hi < a_lo, ~(a_lo < a_hi))) * h
+    # a NaN at an odd lower end: other midpoints may win, so walk them all
+    walk = odd & np.isnan(a_lo)
+    if walk.any():
+        walk = np.flatnonzero(walk)
+        best_n.flat[walk] = _walk_best(walk, lo.ravel()[walk], t, g, droop, gub,
+                                       survivors, d_total)
+    return best_n
+
+
+def _residual(n, g, droop, gub, survivors, d_total, out=None):
+    """The residual sum(min(g + n droop, gub) * survivors) - d_total at the
+    signals n, in the operation order of the t-step loop; units run along
+    the last axis of the broadcast, and n holds every other axis."""
+    r = np.multiply(n[..., None], droop, out=out)
+    np.add(g, r, out=r)   # g first: a NaN keeps the loop's bits
+    np.minimum(r, gub, out=r)
+    r *= survivors
+    e = np.add.reduce(r, -1)
+    e -= d_total
+    return e
+
+
+def _cell_guess(g, droop, gub, d_total, kg, cells: int) -> np.ndarray:
+    """A guess, (B, K) in [0, cells), of the cell of step 1/cells where
+    each outage's residual turns positive: the root of its piecewise-linear
+    response, in any rounding.  Unit j gives g_j + n droop_j below its knee
+    and its capped value above; one sort of the knees per batch row gives
+    the response at every knee, and each outage takes out its own unit."""
+    # a unit without droop is flat at min(g, gub), whatever its knee
+    knee = np.subtract(gub, g)
+    np.divide(knee, droop, out=knee, where=droop > 0.0)
+    np.maximum(knee, 0.0, out=knee)
+    np.minimum(knee, 1.0, out=knee)
+    top = np.multiply(knee, droop)
+    top += g
+    np.minimum(top, gub, out=top)
+    rows = np.arange(g.shape[0])[:, None]
+    order = knee.argsort(-1)
+    x, droop_s = knee[rows, order], droop[rows, order]
+    # at knee m: the capped values of the knees before it, the lines of the rest
+    droop_rest = droop_s[:, ::-1].cumsum(-1)[:, ::-1]
+    del droop_s
+    at = g[rows, order][:, ::-1].cumsum(-1)[:, ::-1]
+    at += x * droop_rest
+    top_s = top[rows, order]
+    at -= top_s
+    at += top_s.cumsum(-1, out=top_s)
+    del top_s, order
+    own_droop, own_knee = droop[:, kg], knee[:, kg]
+    v = np.multiply(x[:, None, :], own_droop[..., None])
+    v += g[:, kg, None]
+    np.minimum(v, top[:, kg, None], out=v)
+    del knee, top
+    np.subtract(at[:, None, :], v, out=v)
+    v -= d_total[:, None, None]
+    # the first knee past the root, and the slope of the segment below it
+    rising = np.greater(v, 0.0)
+    m = rising.argmax(-1)
+    right = x[rows, m]
+    slope = droop_rest[rows, m]
+    slope -= own_droop * (own_knee >= right)
+    rise = v.reshape(-1, x.shape[-1])[np.arange(m.size), m.ravel()].reshape(m.shape)
+    del v
+    np.divide(rise, slope, out=rise, where=slope > 0.0)
+    rise[slope <= 0.0] = 0.0
+    right -= rise
+    right[~rising[..., -1]] = 1.0
+    right *= cells
+    # a NaN guesses the top cell
+    return np.fmax(np.fmin(right, cells - 1.0, out=right), 0.0, out=right).astype(np.int64)
+
+
+def _settle_cells(miss, down, lo, e_lo, e_hi, cells: int, h: float,
+                  g, droop, gub, survivors, d_total) -> None:
+    """The switching cells at the flat (B, K) positions miss, where the guess
+    failed: gallop from it (down where e was positive at its lower end, else
+    up) until the switch is passed, then bisect.  Writes lo, e_lo and e_hi
+    there in place."""
+    rows, outs = np.divmod(miss, survivors.shape[0])
+    args = (g[rows], droop[rows], gub[rows], survivors[outs], d_total[rows])
+    guess = lo.flat[miss]
+    # e is not positive at left (or left is 0) and positive at right (or
+    # right is cells)
+    left, right = np.where(down, 0, guess + 1), np.where(down, guess, cells)
+    e_left = np.where(down, np.nan, e_hi.flat[miss])
+    e_right = np.where(down, e_lo.flat[miss], np.nan)
+    width = np.ones_like(left)
+    while True:
+        act = np.flatnonzero(right - left > 1)
+        if not act.size:
+            break
+        step = np.minimum(width[act], (right[act] - left[act]) // 2)
+        probe = np.where(down[act], right[act] - step, left[act] + step)
+        e = _residual(probe * h, *(a[act] for a in args))
+        pos = e > 0.0
+        right[act[pos]], e_right[act[pos]] = probe[pos], e[pos]
+        left[act[~pos]], e_left[act[~pos]] = probe[~pos], e[~pos]
+        # double the step while the probes stay on the guess's side
+        width[act] = np.where(pos == down[act], np.minimum(2 * width[act], cells), cells)
+    lo.flat[miss], e_lo.flat[miss], e_hi.flat[miss] = left, e_left, e_right
+
+
+def _walk_best(walk, cell, t: int, g, droop, gub, survivors, d_total) -> np.ndarray:
+    """The loop's answer at the flat (B, K) positions walk, from its final
+    cells: the last of its t + 1 midpoints with the least |e|, or 1/2 where
+    every |e| is NaN."""
+    rows, outs = np.divmod(walk, survivors.shape[0])
+    level = np.arange(t + 1)
+    # midpoint i halves the cell of step 2^-i that holds the final one
+    path = (2 * (cell[:, None] >> (t + 1 - level)) + 1) * 0.5 ** (level + 1)
+    a = np.abs(_residual(path, g[rows, None], droop[rows, None], gub[rows, None],
+                         survivors[outs, None], d_total[rows, None]))
+    hit = a == np.fmin.reduce(a, -1)[:, None]
+    last = t - np.argmax(hit[:, ::-1], -1)
+    return np.where(hit.any(-1), path[np.arange(walk.size), last], 0.5)
 
 
 def binary_search_vjp(grad_gk: np.ndarray, rho: np.ndarray, kg: np.ndarray) -> np.ndarray:

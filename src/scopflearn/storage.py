@@ -116,15 +116,16 @@ def read_blob(path, magic: bytes):
 
 
 def _check_arrays(path, arrays: dict, expected: dict) -> None:
-    """Refuses read arrays other than the expected ones: expected gives
-    each name's dtype string and shape, as the metadata fixes them."""
+    """Refuses arrays, read from path or to be written there, other than
+    the expected ones: expected gives each name's dtype string and shape, as
+    the metadata fixes them."""
     if arrays.keys() != expected.keys():
-        raise DataError(f"stored arrays {sorted(arrays)} of {path} are not the "
+        raise DataError(f"arrays {sorted(arrays)} of {path} are not the "
                         f"expected {sorted(expected)}")
     for name, (dtype, shape) in expected.items():
         arr = arrays[name]
         if arr.dtype.str != dtype or arr.shape != shape:
-            raise DataError(f"stored array {name!r} {arr.dtype.str}{list(arr.shape)} and "
+            raise DataError(f"array {name!r} {arr.dtype.str}{list(arr.shape)} and "
                             f"the expected {dtype}{list(shape)} do not match in {path}")
 
 
@@ -161,17 +162,23 @@ class Dataset:
                          seed=int(self.seeds[i])) for i in range(self.n)]
 
 
+def _dataset_arrays(n: int, n_load: int, n_gen: int, labeled: bool) -> dict:
+    """Each stored array of a dataset: its dtype string and its shape."""
+    expected = {"d": ("<f8", (n, n_load)), "c": ("<f8", (n, n_gen)),
+                "gub": ("<f8", (n, n_gen)), "seeds": ("<u8", (n,))}
+    if labeled:
+        expected |= {"g_star": ("<f8", (n, n_gen)), "obj_star": ("<f8", (n,)),
+                     "tol_certificate": ("<f8", (n,))}
+    return expected
+
+
 def write_dataset(path, dataset: Dataset) -> None:
-    arrays = [("d", dataset.d.astype("<f8")),
-              ("c", dataset.c.astype("<f8")),
-              ("gub", dataset.gub.astype("<f8")),
-              ("seeds", dataset.seeds.astype("<u8"))]
-    flags = 0
-    if dataset.labeled:
-        flags |= FLAG_LABELED
-        arrays += [("g_star", dataset.g_star.astype("<f8")),
-                   ("obj_star", dataset.obj_star.astype("<f8")),
-                   ("tol_certificate", dataset.tol_certificate.astype("<f8"))]
+    """Writes a dataset whose arrays agree with d's rows and columns and c's
+    columns; refuses any other before a byte is written."""
+    expected = _dataset_arrays(dataset.n, dataset.d.shape[1], dataset.c.shape[1],
+                               dataset.labeled)
+    arrays = {name: getattr(dataset, name).astype(dtype) for name, (dtype, _) in expected.items()}
+    _check_arrays(path, arrays, expected)
     meta = {
         "kind": "dataset",
         "case": dataset.case_name,
@@ -180,22 +187,17 @@ def write_dataset(path, dataset: Dataset) -> None:
         "n_load": dataset.d.shape[1],
         "n_gen": dataset.c.shape[1],
     }
-    write_blob(path, DATASET_MAGIC, meta, arrays, flags=flags)
+    write_blob(path, DATASET_MAGIC, meta, list(arrays.items()),
+               flags=FLAG_LABELED if dataset.labeled else 0)
 
 
 def read_dataset(path) -> Dataset:
     """A dataset whose arrays are the ones write_dataset stores, of its
     dtypes and of the shapes the stored n, n_load and n_gen fix."""
     meta, arrays, flags = read_blob(path, DATASET_MAGIC)
-    labeled = bool(flags & FLAG_LABELED)
     with _metadata_of(path):
-        n, n_load, n_gen = meta["n"], meta["n_load"], meta["n_gen"]
-        expected = {"d": ("<f8", (n, n_load)), "c": ("<f8", (n, n_gen)),
-                    "gub": ("<f8", (n, n_gen)), "seeds": ("<u8", (n,))}
-        if labeled:
-            expected |= {"g_star": ("<f8", (n, n_gen)), "obj_star": ("<f8", (n,)),
-                         "tol_certificate": ("<f8", (n,))}
-        _check_arrays(path, arrays, expected)
+        _check_arrays(path, arrays, _dataset_arrays(meta["n"], meta["n_load"], meta["n_gen"],
+                                                    bool(flags & FLAG_LABELED)))
         return Dataset(case_name=meta["case"], seed=int(meta["seed"]), **arrays)
 
 

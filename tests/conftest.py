@@ -199,30 +199,32 @@ BAD_DATASETS = ("c_rows", "gub_cols", "seeds_len", "g_star_rows", "obj_star_len"
 
 def write_labeled_dataset(path, fault=None):
     """A labeled three-record micro5 dataset at the base point, or one with
-    the given fault of BAD_DATASETS."""
+    the given fault of BAD_DATASETS, which write_dataset would refuse: the
+    good file with its arrays or metadata edited, written with write_blob."""
     from scopflearn.cases import micro5
     from scopflearn.storage import DATASET_MAGIC, Dataset, read_blob, write_blob, write_dataset
 
     case, n = micro5(), 3
-    arrays = dict(d=np.tile(case.d0, (n, 1)), c=np.tile(case.c0, (n, 1)),
-                  gub=np.tile(case.gub0, (n, 1)), seeds=np.arange(n, dtype=np.uint64),
-                  g_star=np.tile(case.gub0 / 2, (n, 1)), obj_star=np.arange(1.0, n + 1),
-                  tol_certificate=np.full(n, 1e-3))
-    arrays.update({
-        "c_rows": {"c": arrays["c"][:-1]},
-        "gub_cols": {"gub": arrays["gub"][:, :-1]},
-        "seeds_len": {"seeds": arrays["seeds"][:-1]},
-        "g_star_rows": {"g_star": arrays["g_star"][:-1]},
-        "obj_star_len": {"obj_star": arrays["obj_star"][:-1]},
-        "tol_certificate_len": {"tol_certificate": np.append(arrays["tol_certificate"], 0.0)},
+    write_dataset(path, Dataset(
+        case_name=case.name, seed=0, d=np.tile(case.d0, (n, 1)), c=np.tile(case.c0, (n, 1)),
+        gub=np.tile(case.gub0, (n, 1)), seeds=np.arange(n, dtype=np.uint64),
+        g_star=np.tile(case.gub0 / 2, (n, 1)), obj_star=np.arange(1.0, n + 1),
+        tol_certificate=np.full(n, 1e-3)))
+    if fault is None:
+        return path
+    meta, stored, flags = read_blob(path, DATASET_MAGIC)
+    names = [spec["name"] for spec in meta.pop("arrays")]
+    stored.update({
+        "c_rows": {"c": stored["c"][:-1]},
+        "gub_cols": {"gub": stored["gub"][:, :-1]},
+        "seeds_len": {"seeds": stored["seeds"][:-1]},
+        "g_star_rows": {"g_star": stored["g_star"][:-1]},
+        "obj_star_len": {"obj_star": stored["obj_star"][:-1]},
+        "tol_certificate_len": {"tol_certificate": np.append(stored["tol_certificate"], 0.0)},
     }.get(fault, {}))
-    write_dataset(path, Dataset(case_name=case.name, seed=0, **arrays))
-    if fault in ("n_load", "unflagged_labels"):
-        meta, stored, flags = read_blob(path, DATASET_MAGIC)
-        names = [spec["name"] for spec in meta.pop("arrays")]
-        if fault == "n_load":
-            meta["n_load"] -= 1
-        else:
-            flags = 0
-        write_blob(path, DATASET_MAGIC, meta, [(name, stored[name]) for name in names], flags=flags)
+    if fault == "n_load":
+        meta["n_load"] -= 1
+    elif fault == "unflagged_labels":
+        flags = 0
+    write_blob(path, DATASET_MAGIC, meta, [(name, stored[name]) for name in names], flags=flags)
     return path

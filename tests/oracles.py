@@ -13,8 +13,8 @@ vector-Jacobian products.  It reads the pipeline's factor maps and the tape
 of one forward pass, and recomputes everything else itself.
 
 The loop forms of three fused kernels are kept here as byte-for-byte
-references: the masked sigmoid, the bracketing bisection with its own
-temporaries, and Adam applied array by array.
+references: the masked sigmoid, the t-step bisection loop that the
+closed-form bisection layer reads off, and Adam applied array by array.
 """
 
 import numpy as np

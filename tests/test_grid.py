@@ -196,6 +196,9 @@ def test_case_validation_errors():
         GridCase(**{**base, "slack_bus": 5})
     with pytest.raises(DataError):
         GridCase(**{**base, "Pi": 0.0})
+    with pytest.raises(DataError, match="gamma must be nonnegative"):
+        GridCase(**{**base, "gamma": [-0.5]})
+    assert GridCase(**{**base, "gamma": [0.0]}).gamma[0] == 0.0
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scopflearn import layers
-from scopflearn.errors import ConfigError
+from scopflearn.errors import ConfigError, DataError
 from scopflearn.grid import ContingencySet, GridCase, build_factors, screen_contingencies
 from scopflearn.layers import (
     PrimalPipeline,
@@ -283,7 +283,8 @@ def _assert_bisection_matches_reference(g, d_total, kg, gamma, ghat, gub, t):
 @pytest.mark.parametrize("t", [1, 2, 25, 40, 52])
 def test_bisection_matches_reference_random_boxes(t):
     # batch sizes from 1, outage sets from empty to all units, some zero
-    # droops, and loads on both sides of what the survivors can cover
+    # droops, and loads on both sides of what the survivors can cover; each
+    # box also rounded to eighths, where |e| ties exactly between midpoints
     rng = np.random.default_rng(t)
     for _ in range(60):
         n_batch, n_gen = int(rng.integers(1, 6)), int(rng.integers(2, 7))
@@ -294,10 +295,19 @@ def test_bisection_matches_reference_random_boxes(t):
         gamma = rng.uniform(0.0, 1.2, n_gen) * (rng.random(n_gen) > 0.2)
         d_total = g.sum(-1) * rng.uniform(0.8, 1.4, n_batch)
         _assert_bisection_matches_reference(g, d_total, kg, gamma, gub - glb, gub, t)
+        glb, gub, g, gamma, d_total = (np.round(a * 8) / 8 for a in (glb, gub, g, gamma, d_total))
+        _assert_bisection_matches_reference(g, d_total, kg, gamma, gub - glb, gub, t)
+
+
+def _spy(monkeypatch, name):
+    """Counts the calls of the layers function name."""
+    calls, real = [], getattr(layers, name)
+    monkeypatch.setattr(layers, name, lambda *a: calls.append(1) or real(*a))
+    return calls
 
 
 @pytest.mark.parametrize("t", [1, 40])
-def test_bisection_matches_reference_edge_cases(t):
+def test_bisection_matches_reference_edge_cases(t, monkeypatch):
     g = np.array([[1.0, 1.0, 1.0]])
     gamma, ghat = np.ones(3), np.full((1, 3), 2.0)
     gub = np.full((1, 3), 4.0)
@@ -320,9 +330,72 @@ def test_bisection_matches_reference_edge_cases(t):
     nan_g = np.array([[np.nan, 1.0, 1.0], [1.0, np.nan, 1.0], [np.nan] * 3])
     _assert_bisection_matches_reference(nan_g, np.full(3, 3.0), [0, 1], gamma,
                                         np.repeat(ghat, 3, 0), np.repeat(gub, 3, 0), t)
+    # infinite dispatches, caps and loads, on survivors and outaged units
+    inf_g = np.array([[np.inf, 1.0, 1.0], [1.0, -np.inf, 1.0], [1.0, 1.0, 1.0],
+                      [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    inf_gub = np.array([[4.0] * 3, [4.0] * 3, [np.inf, 4.0, 4.0], [4.0, -np.inf, 4.0],
+                        [4.0] * 3, [4.0] * 3])
+    _assert_bisection_matches_reference(inf_g, [3.0, 3.0, 3.0, 3.0, np.inf, -np.inf], [0, 1],
+                                        gamma, np.repeat(ghat, 6, 0), inf_gub, t)
+    # -inf plus a unit overflowing to +inf from n = 0.8: e is -inf below and
+    # NaN above, where every midpoint the loop visited is read
+    walks = _spy(monkeypatch, "_walk_best")
+    _, nk, _ = _assert_bisection_matches_reference(
+        [[-np.inf, 1e308, 0.0]], [0.0], [2], np.ones(3), [[1.0, 1e308, 1.0]],
+        [[np.inf, np.inf, 1.0]], t)
+    assert nk[0, 0] == 0.75 and len(walks) == (t > 1)
     # no generator contingencies at all
     gk, nk, rho = _assert_bisection_matches_reference(g, [3.0], [], gamma, ghat, gub, t)
     assert gk.shape == (1, 0, 3) and nk.shape == (1, 0) and rho.shape == (1, 0, 3)
+    # at t = 52, a residual rounded flat to +-1 ulp switches at 5/8, far
+    # from the piecewise-linear root 1/2 that the first guess reads: the
+    # guess is off by 2^50 cells, and the search gallops and bisects there
+    settles = _spy(monkeypatch, "_settle_cells")
+    _, nk, _ = _assert_bisection_matches_reference(
+        g, [2.0 + 2.0 ** -51], [2], np.array([1.0, 0.0, 1.0]), np.full((1, 3), 2.0 ** -50),
+        np.full((1, 3), 4.0), 52)
+    assert settles and nk[0, 0] == 0.625
+
+
+def test_bisection_refuses_a_falling_residual(m5_case, m5_factors, m5_cont):
+    # a negative droop, directly or from a request whose upper bound lies
+    # below the lower one, lets the residual fall as the signal grows
+    with pytest.raises(DataError, match="gamma \\* ghat >= 0"):
+        _bisect_one(np.ones(2), 1.0, 0, np.ones(2), np.array([1.0, -0.5]), np.full(2, 2.0))
+    pipe = PrimalPipeline(m5_case, m5_factors, m5_cont)
+    gub = m5_case.gub0.copy()
+    gub[1] = m5_case.glb[1] - 0.05
+    with pytest.raises(DataError, match="gamma \\* ghat >= 0"):
+        pipe.evaluate_dispatch(m5_case.glb, m5_case.d0, gub)
+    # an outaged unit whose response overflows below an infinite cap
+    with pytest.raises(DataError, match="overflows"):
+        binary_search_batch([[1e308, 1.0]], [1.0], [0], np.ones(2), [[1e308, 1.0]],
+                            [[np.inf, 2.0]])
+    # NaN is no negative droop: it passes, as in the reference
+    _assert_bisection_matches_reference(np.ones((1, 2)), [1.0], [0], np.ones(2),
+                                        [[np.nan, 1.0]], np.full((1, 2), 2.0), 25)
+
+
+def test_bisection_peak_allocation_stays_within_budget(m5_case, m5_factors, m5_cont):
+    """One call at micro5's batch-32 serving shape allocates at its peak at
+    most 10 (B, K, G) float64 arrays (23 KB): the t-step loop peaked at
+    20.7 KB, and a form holding a dozen such temporaries at once fails."""
+    pipe = PrimalPipeline(m5_case, m5_factors, m5_cont)
+    rng = np.random.default_rng(0)
+    n_batch, n_gen, n_cont = 32, m5_case.n_gen, pipe.kg.size
+    gub = m5_case.gub0 * rng.uniform(0.9, 1.1, (n_batch, n_gen))
+    d = m5_case.d0 * rng.uniform(0.8, 1.1, (n_batch, m5_case.n_load))
+    state = pipe.forward(rng.normal(size=(n_batch, n_gen)), d, gub, with_slacks=False)
+    args = (state.gtilde, state.d_total, pipe.kg, m5_case.gamma, gub - m5_case.glb, gub)
+    binary_search_batch(*args)
+    tracemalloc.start()
+    try:
+        binary_search_batch(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = 10 * n_batch * n_cont * n_gen * 8
+    assert peak <= budget, f"peak {peak} B over {budget} B"
 
 
 def test_bisection_rejects_bad_iteration_count(m5_case, m5_factors, m5_cont):

@@ -197,6 +197,20 @@ def test_dataset_arrays_must_match_its_metadata(tmp_path, fault):
         read_dataset(write_labeled_dataset(tmp_path / "bad.bin", fault))
 
 
+@pytest.mark.parametrize("edit", [
+    dict(c=lambda a: a[:-1]), dict(gub=lambda a: a[:, :-1]), dict(seeds=lambda a: a[:-1]),
+    dict(g_star=lambda a: a[:-1]), dict(obj_star=lambda a: a[:-1]),
+    dict(tol_certificate=lambda a: np.append(a, 0.0)),
+], ids=["c_rows", "gub_cols", "seeds_len", "g_star_rows", "obj_star_len", "tol_certificate_len"])
+def test_write_dataset_refuses_mismatched_arrays_and_writes_nothing(tmp_path, edit):
+    good = read_dataset(write_labeled_dataset(tmp_path / "good.bin"))
+    bad = Dataset(**{**vars(good), **{name: f(getattr(good, name)) for name, f in edit.items()}})
+    path = tmp_path / "bad.bin"
+    with pytest.raises(DataError, match="do not match"):
+        write_dataset(path, bad)
+    assert not path.exists()
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(43)
     primal = init_mlp((6, 9, 9, 3), rng, use_layernorm=True)
