@@ -142,6 +142,9 @@ def cmd_train(args) -> int:
             instances = [inst for inst, ok in zip(instances, keep) if ok]
             print(f"skipping {int((~keep).sum())} unlabeled (infeasible) records")
         g_star = dataset.g_star[keep]
+    if not instances:
+        raise DataError(f"dataset {cfg['dataset']} holds no instance to train on"
+                        + (" with a feasible label" if g_star is not None else ""))
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -26,13 +26,12 @@ the last midpoint on the other side of the switch, or 0 or 1, which the loop
 never evaluates.  Every other midpoint lies on a side of the switch whose
 end of the cell ran after it with an |e| no larger, so the answer is the
 final midpoint unless the even end has the strictly smaller |e|.  The layer
-guesses c from the piecewise-linear root, certifies it by e at both ends in
-the loop's own operation order, gallops and bisects where the guess fails,
-and reads all t + 1 midpoints only where e is NaN at an odd lower end (an
-earlier midpoint of -inf may then win).  Negative droop, and an outaged unit
-whose g + n gamma ghat overflows below an infinite cap (its term
-min(...) * 0 would turn NaN as n grows), are refused with a DataError; NaN
-passes.
+guesses c from the piecewise-linear root and certifies it by e at both ends
+in the loop's own operation order.  It runs the loop itself only where the
+guess fails, or where e is NaN at an odd lower end (an earlier midpoint of
+-inf may then win).  Negative droop, and an outaged unit whose
+g + n gamma ghat overflows below an infinite cap (its term min(...) * 0
+would turn NaN as n grows), are refused with a DataError; NaN passes.
 
 Line-outage slacks take one of two forms, chosen by batch size alone.  A
 batch whose post-outage flows fit one block of SLACK_BLOCK elements forms
@@ -204,7 +203,8 @@ def binary_search_batch(g, d_total, kg, gamma, ghat, gub, t: int = BISECT_ITERS)
     and up elsewhere, halving the step, and returns the last of its t + 1
     midpoints with the least |e| (1/2 if every |e| is NaN).  Since e is
     monotone in n, only the grid cell where e turns positive, and e at its
-    two ends, decide that (see the module docstring).  When no balancing
+    two ends, decide that (see the module docstring); the loop runs itself
+    only where a guess of that cell fails.  When no balancing
     signal exists the signal runs to the 0 or 1 boundary and the signed
     residual is left to the caller.  A cap flag is set only where the
     uncapped response strictly exceeds the upper bound.
@@ -253,25 +253,21 @@ def _loop_signal(g, droop, gub, survivors, d_total, kg, t: int) -> np.ndarray:
     buf = np.empty(lo.shape + g.shape[-1:])
     e_lo = _residual(lo * h, *args, out=buf)
     e_hi = _residual((lo + 1) * h, *args, out=buf)
-    down = (e_lo > 0.0) & (lo > 0)
-    miss = down | ~(e_hi > 0.0) & (lo < cells - 1)
-    if miss.any():
-        miss = np.flatnonzero(miss)
-        _settle_cells(miss, down.ravel()[miss], lo, e_lo, e_hi, cells, h,
-                      g, droop, gub, survivors, d_total)
+    odd = (lo & 1).astype(bool)
+    # the loop runs itself where the guess fails, and where e is NaN at an
+    # odd lower end (an earlier midpoint of -inf may then win)
+    loop = (e_lo > 0.0) & (lo > 0)
+    loop |= ~(e_hi > 0.0) & (lo < cells - 1)
+    loop |= odd & np.isnan(e_lo)
 
     # the final midpoint, the odd end, wins ties; an end at 0 or 1 never ran
     a_lo, a_hi = np.abs(e_lo, out=e_lo), np.abs(e_hi, out=e_hi)
     a_lo[lo == 0] = np.nan
     a_hi[lo == cells - 1] = np.nan
-    odd = (lo & 1).astype(bool)
     best_n = (lo + np.where(odd, a_hi < a_lo, ~(a_lo < a_hi))) * h
-    # a NaN at an odd lower end: other midpoints may win, so walk them all
-    walk = odd & np.isnan(a_lo)
-    if walk.any():
-        walk = np.flatnonzero(walk)
-        best_n.flat[walk] = _walk_best(walk, lo.ravel()[walk], t, g, droop, gub,
-                                       survivors, d_total)
+    if loop.any():
+        loop = np.flatnonzero(loop)
+        best_n.flat[loop] = _run_loop(loop, t, g, droop, gub, survivors, d_total)
     return best_n
 
 
@@ -338,49 +334,22 @@ def _cell_guess(g, droop, gub, d_total, kg, cells: int) -> np.ndarray:
     return np.fmax(np.fmin(right, cells - 1.0, out=right), 0.0, out=right).astype(np.int64)
 
 
-def _settle_cells(miss, down, lo, e_lo, e_hi, cells: int, h: float,
-                  g, droop, gub, survivors, d_total) -> None:
-    """The switching cells at the flat (B, K) positions miss, where the guess
-    failed: gallop from it (down where e was positive at its lower end, else
-    up) until the switch is passed, then bisect.  Writes lo, e_lo and e_hi
-    there in place."""
-    rows, outs = np.divmod(miss, survivors.shape[0])
+def _run_loop(at, t: int, g, droop, gub, survivors, d_total) -> np.ndarray:
+    """The t-step loop itself at the flat (B, K) positions at: from n = 1/2,
+    step down where e is positive and up elsewhere, halving the step, and
+    return the last of the t + 1 midpoints with the least |e|, or 1/2 where
+    every |e| is NaN.  Every midpoint is exact on the grid of step
+    2^-(t+1)."""
+    rows, outs = np.divmod(at, survivors.shape[0])
     args = (g[rows], droop[rows], gub[rows], survivors[outs], d_total[rows])
-    guess = lo.flat[miss]
-    # e is not positive at left (or left is 0) and positive at right (or
-    # right is cells)
-    left, right = np.where(down, 0, guess + 1), np.where(down, guess, cells)
-    e_left = np.where(down, np.nan, e_hi.flat[miss])
-    e_right = np.where(down, e_lo.flat[miss], np.nan)
-    width = np.ones_like(left)
-    while True:
-        act = np.flatnonzero(right - left > 1)
-        if not act.size:
-            break
-        step = np.minimum(width[act], (right[act] - left[act]) // 2)
-        probe = np.where(down[act], right[act] - step, left[act] + step)
-        e = _residual(probe * h, *(a[act] for a in args))
-        pos = e > 0.0
-        right[act[pos]], e_right[act[pos]] = probe[pos], e[pos]
-        left[act[~pos]], e_left[act[~pos]] = probe[~pos], e[~pos]
-        # double the step while the probes stay on the guess's side
-        width[act] = np.where(pos == down[act], np.minimum(2 * width[act], cells), cells)
-    lo.flat[miss], e_lo.flat[miss], e_hi.flat[miss] = left, e_left, e_right
-
-
-def _walk_best(walk, cell, t: int, g, droop, gub, survivors, d_total) -> np.ndarray:
-    """The loop's answer at the flat (B, K) positions walk, from its final
-    cells: the last of its t + 1 midpoints with the least |e|, or 1/2 where
-    every |e| is NaN."""
-    rows, outs = np.divmod(walk, survivors.shape[0])
-    level = np.arange(t + 1)
-    # midpoint i halves the cell of step 2^-i that holds the final one
-    path = (2 * (cell[:, None] >> (t + 1 - level)) + 1) * 0.5 ** (level + 1)
-    a = np.abs(_residual(path, g[rows, None], droop[rows, None], gub[rows, None],
-                         survivors[outs, None], d_total[rows, None]))
-    hit = a == np.fmin.reduce(a, -1)[:, None]
-    last = t - np.argmax(hit[:, ::-1], -1)
-    return np.where(hit.any(-1), path[np.arange(walk.size), last], 0.5)
+    n, best_n, best = np.full(at.size, 0.5), np.full(at.size, 0.5), np.full(at.size, np.inf)
+    for i in range(t + 1):
+        e = _residual(n, *args)
+        a = np.abs(e)
+        keep = a <= best
+        best_n[keep], best[keep] = n[keep], a[keep]
+        n += np.where(e > 0.0, -0.5 ** (i + 2), 0.5 ** (i + 2))
+    return best_n
 
 
 def binary_search_vjp(grad_gk: np.ndarray, rho: np.ndarray, kg: np.ndarray) -> np.ndarray:

@@ -71,8 +71,11 @@ def evaluate_model(case: GridCase, factors: LinearFactors, cont: ContingencySet,
     """Run the full primal pipeline per instance and aggregate the metrics.
 
     Each instance is evaluated individually so the reported latency is the
-    single-instance figure.
+    single-instance figure.  No instance is a DataError: every mean would be
+    NaN.
     """
+    if not instances:
+        raise DataError("no instance to evaluate: the dataset is empty")
     dim_x = 2 * case.n_gen + case.n_load
     if primal.sizes[0] != dim_x or primal.sizes[-1] != case.n_gen:
         raise DataError(

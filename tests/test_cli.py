@@ -11,8 +11,9 @@ from scopflearn.cases import triangle3
 from scopflearn.cli import main
 from scopflearn.grid import build_factors, case_to_dict, save_case, screen_contingencies
 from scopflearn.layers import PrimalPipeline
-from scopflearn.nn import mlp_forward
-from scopflearn.storage import Dataset, load_checkpoint, read_dataset, save_checkpoint, write_dataset
+from scopflearn.nn import AdamState, init_mlp, mlp_forward
+from scopflearn.storage import (Checkpoint, Dataset, load_checkpoint, read_dataset,
+                                save_checkpoint, write_dataset)
 
 from conftest import (BAD_CHECKPOINTS, BAD_DATASETS, M5_UNCOVERABLE_GUB, write_checkpoint,
                       write_labeled_dataset)
@@ -204,15 +205,57 @@ def test_inspect_requires_target():
     assert run(["inspect"]) == 2
 
 
-def test_inspect_empty_dataset(tmp_path, capsys):
-    data = tmp_path / "empty.bin"
-    write_dataset(data, Dataset(case_name="triangle3", seed=0, d=np.empty((0, 2)),
+def _write_empty_dataset(path):
+    """A triangle3 dataset of no instances."""
+    write_dataset(path, Dataset(case_name="triangle3", seed=0, d=np.empty((0, 2)),
                                 c=np.empty((0, 2)), gub=np.empty((0, 2)),
                                 seeds=np.empty(0, np.uint64)))
+    return path
+
+
+def test_inspect_empty_dataset(tmp_path, capsys):
+    data = _write_empty_dataset(tmp_path / "empty.bin")
     assert run(["inspect", "--dataset", str(data)]) == 0
     out = capsys.readouterr().out
     assert "0 instances of case triangle3" in out
     assert "holds no instances" in out
+
+
+def test_eval_refuses_an_empty_dataset(tmp_path, capsys):
+    # every mean over no instance would be NaN: refused before any report
+    data = _write_empty_dataset(tmp_path / "empty.bin")
+    primal = init_mlp((6, 8, 2), np.random.default_rng(0))
+    ckpt = tmp_path / "ck.bin"
+    save_checkpoint(ckpt, Checkpoint(method="penalty", case_name="triangle3", dim_x=6,
+                                     n_gen=2, primal=primal,
+                                     primal_adam=AdamState.for_params(primal)))
+    capsys.readouterr()
+    assert run(["eval", "--case", "triangle3", "--checkpoint", str(ckpt),
+                "--dataset", str(data), "--out", str(tmp_path / "report.csv")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "data error: no instance to evaluate" in captured.err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["penalty", "naive", "ld"])
+def test_train_refuses_a_dataset_with_nothing_to_train_on_before_writing(tmp_path, capsys,
+                                                                       method):
+    # no instance, or no feasible label for a supervised method: refused
+    # before the run directory is made
+    if method == "penalty":
+        case, data = "triangle3", _write_empty_dataset(tmp_path / "d.bin")
+    else:
+        case, data = "micro5", tmp_path / "d.bin"
+        ds = read_dataset(write_labeled_dataset(data))
+        write_dataset(data, dataclasses.replace(ds, g_star=np.full_like(ds.g_star, np.nan),
+                                                obj_star=np.full(ds.n, np.nan),
+                                                tol_certificate=np.full(ds.n, np.nan)))
+    out_dir = tmp_path / "run"
+    assert run(["train", "--case", case, "--method", method, "--dataset", str(data),
+                "--out-dir", str(out_dir), "-K", "1", "-L", "2", "--batch", "2"]) == 3
+    assert "holds no instance to train on" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -280,12 +280,21 @@ def _assert_bisection_matches_reference(g, d_total, kg, gamma, ghat, gub, t):
     return got
 
 
-@pytest.mark.parametrize("t", [1, 2, 25, 40, 52])
-def test_bisection_matches_reference_random_boxes(t):
-    # batch sizes from 1, outage sets from empty to all units, some zero
-    # droops, and loads on both sides of what the survivors can cover; each
-    # box also rounded to eighths, where |e| ties exactly between midpoints
-    rng = np.random.default_rng(t)
+def _loop_spy(monkeypatch):
+    """The number of positions of each call that runs the loop itself."""
+    sizes, real = [], layers._run_loop
+    monkeypatch.setattr(layers, "_run_loop", lambda at, *a: sizes.append(at.size)
+                        or real(at, *a))
+    return sizes
+
+
+def _random_boxes(rng, inject=False):
+    """Bisection inputs (g, d_total, kg, gamma, ghat, gub): batch sizes from
+    1, outage sets from empty to all units, some zero droops, and loads on
+    both sides of what the survivors can cover; each box also rounded to
+    eighths, where |e| ties exactly between midpoints.  inject: NaN and +-inf
+    in some dispatches, caps and loads (a cap of -inf, a negative droop, is
+    left out: it is refused)."""
     for _ in range(60):
         n_batch, n_gen = int(rng.integers(1, 6)), int(rng.integers(2, 7))
         kg = rng.choice(n_gen, int(rng.integers(0, n_gen + 1)), replace=False)
@@ -294,16 +303,35 @@ def test_bisection_matches_reference_random_boxes(t):
         g = rng.uniform(glb, gub)
         gamma = rng.uniform(0.0, 1.2, n_gen) * (rng.random(n_gen) > 0.2)
         d_total = g.sum(-1) * rng.uniform(0.8, 1.4, n_batch)
-        _assert_bisection_matches_reference(g, d_total, kg, gamma, gub - glb, gub, t)
-        glb, gub, g, gamma, d_total = (np.round(a * 8) / 8 for a in (glb, gub, g, gamma, d_total))
-        _assert_bisection_matches_reference(g, d_total, kg, gamma, gub - glb, gub, t)
+        for box in ((glb, gub, g, gamma, d_total),
+                    tuple(np.round(a * 8) / 8 for a in (glb, gub, g, gamma, d_total))):
+            glb, gub, g, gamma, d_total = box
+            if inject:
+                for a, values in ((g, [np.nan, np.inf, -np.inf]), (gub, [np.nan, np.inf]),
+                                  (d_total, [np.nan, np.inf, -np.inf])):
+                    hit = rng.random(a.shape) < 0.1
+                    a[hit] = rng.choice(values, int(hit.sum()))
+            yield g, d_total, kg, gamma, gub - glb, gub
 
 
-def _spy(monkeypatch, name):
-    """Counts the calls of the layers function name."""
-    calls, real = [], getattr(layers, name)
-    monkeypatch.setattr(layers, name, lambda *a: calls.append(1) or real(*a))
-    return calls
+@pytest.mark.parametrize("t", [1, 2, 25, 40, 52])
+def test_bisection_matches_reference_random_boxes(t):
+    for box in _random_boxes(np.random.default_rng(t)):
+        _assert_bisection_matches_reference(*box, t)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("t", [1, 2, 25, 52])
+def test_bisection_matches_reference_from_any_guess(t, monkeypatch):
+    # random guessed cells fail their certificate almost everywhere, so the
+    # loop itself runs there; where one passes by chance it is the switch
+    rng = np.random.default_rng(100 + t)
+    monkeypatch.setattr(layers, "_cell_guess", lambda g, droop, gub, d_total, kg, cells:
+                        rng.integers(0, cells, (g.shape[0], len(kg))))
+    loops, positions = _loop_spy(monkeypatch), 0
+    for box in _random_boxes(rng, inject=True):
+        positions += _assert_bisection_matches_reference(*box, t)[1].size
+    assert sum(loops) > positions / 2
 
 
 @pytest.mark.parametrize("t", [1, 40])
@@ -339,22 +367,22 @@ def test_bisection_matches_reference_edge_cases(t, monkeypatch):
                                         gamma, np.repeat(ghat, 6, 0), inf_gub, t)
     # -inf plus a unit overflowing to +inf from n = 0.8: e is -inf below and
     # NaN above, where every midpoint the loop visited is read
-    walks = _spy(monkeypatch, "_walk_best")
+    loops = _loop_spy(monkeypatch)
     _, nk, _ = _assert_bisection_matches_reference(
         [[-np.inf, 1e308, 0.0]], [0.0], [2], np.ones(3), [[1.0, 1e308, 1.0]],
         [[np.inf, np.inf, 1.0]], t)
-    assert nk[0, 0] == 0.75 and len(walks) == (t > 1)
+    assert nk[0, 0] == 0.75 and len(loops) == (t > 1)
     # no generator contingencies at all
     gk, nk, rho = _assert_bisection_matches_reference(g, [3.0], [], gamma, ghat, gub, t)
     assert gk.shape == (1, 0, 3) and nk.shape == (1, 0) and rho.shape == (1, 0, 3)
     # at t = 52, a residual rounded flat to +-1 ulp switches at 5/8, far
     # from the piecewise-linear root 1/2 that the first guess reads: the
-    # guess is off by 2^50 cells, and the search gallops and bisects there
-    settles = _spy(monkeypatch, "_settle_cells")
+    # guess is off by 2^50 cells, and the loop itself runs there
+    loops.clear()
     _, nk, _ = _assert_bisection_matches_reference(
         g, [2.0 + 2.0 ** -51], [2], np.array([1.0, 0.0, 1.0]), np.full((1, 3), 2.0 ** -50),
         np.full((1, 3), 4.0), 52)
-    assert settles and nk[0, 0] == 0.625
+    assert loops and nk[0, 0] == 0.625
 
 
 def test_bisection_refuses_a_falling_residual(m5_case, m5_factors, m5_cont):
@@ -376,10 +404,14 @@ def test_bisection_refuses_a_falling_residual(m5_case, m5_factors, m5_cont):
                                         [[np.nan, 1.0]], np.full((1, 2), 2.0), 25)
 
 
-def test_bisection_peak_allocation_stays_within_budget(m5_case, m5_factors, m5_cont):
+def test_bisection_peak_allocation_stays_within_budget(m5_case, m5_factors, m5_cont,
+                                                      monkeypatch):
     """One call at micro5's batch-32 serving shape allocates at its peak at
     most 10 (B, K, G) float64 arrays (23 KB): the t-step loop peaked at
-    20.7 KB, and a form holding a dozen such temporaries at once fails."""
+    20.7 KB, and a form holding a dozen such temporaries at once fails.
+    Where every guessed cell fails, so that the loop itself runs at every
+    position, at most 16 (37 KB): a gallop and bisection there peaked at
+    46 KB."""
     pipe = PrimalPipeline(m5_case, m5_factors, m5_cont)
     rng = np.random.default_rng(0)
     n_batch, n_gen, n_cont = 32, m5_case.n_gen, pipe.kg.size
@@ -387,15 +419,24 @@ def test_bisection_peak_allocation_stays_within_budget(m5_case, m5_factors, m5_c
     d = m5_case.d0 * rng.uniform(0.8, 1.1, (n_batch, m5_case.n_load))
     state = pipe.forward(rng.normal(size=(n_batch, n_gen)), d, gub, with_slacks=False)
     args = (state.gtilde, state.d_total, pipe.kg, m5_case.gamma, gub - m5_case.glb, gub)
-    binary_search_batch(*args)
-    tracemalloc.start()
-    try:
+
+    def peak():
         binary_search_batch(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    budget = 10 * n_batch * n_cont * n_gen * 8
-    assert peak <= budget, f"peak {peak} B over {budget} B"
+        tracemalloc.start()
+        try:
+            binary_search_batch(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    array = n_batch * n_cont * n_gen * 8
+    assert peak() <= 10 * array, f"peak over {10 * array} B"
+    # the cell next to the switch's fails its certificate
+    guess = layers._cell_guess
+    monkeypatch.setattr(layers, "_cell_guess", lambda *a: (guess(*a) + 1) % a[-1])
+    loops = _loop_spy(monkeypatch)
+    assert peak() <= 16 * array, f"peak over {16 * array} B"
+    assert loops == [n_batch * n_cont] * 2
 
 
 def test_bisection_rejects_bad_iteration_count(m5_case, m5_factors, m5_cont):
