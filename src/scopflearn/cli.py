@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, DivergenceError, ScopflearnError
 from .grid import GridCase, build_factors, load_case, screen_contingencies
 from .layers import BISECT_ITERS
 from .oracle import RESOLUTION, label_dataset
-from .report import evaluate_model, power_units, write_report_csv, write_training_log_csv
+from .report import REPORT_COLUMNS, evaluate_model, power_units, write_csv
 from .sampling import Z95, PerturbationConfig, sample_dataset
 from .storage import (
     Checkpoint,
@@ -31,7 +31,7 @@ from .storage import (
     save_checkpoint,
     write_dataset,
 )
-from .training import METHODS, TrainerConfig, train
+from .training import METHODS, TRAIN_LOG_COLUMNS, TrainerConfig, train
 
 
 # the run keys besides TrainerConfig's fields; a config file and the train
@@ -168,7 +168,7 @@ def cmd_train(args) -> int:
                    trainer_config, g_star=g_star, checkpoint_cb=checkpoint_cb)
     save("checkpoint_final.bin", result.primal, result.primal_adam, result.dual,
          result.dual_adam, result.state)
-    write_training_log_csv(result.log, out_dir / "train_log.csv")
+    write_csv(result.log, TRAIN_LOG_COLUMNS, out_dir / "train_log.csv")
 
     summary = {
         "method": method,
@@ -196,7 +196,7 @@ def cmd_eval(args) -> int:
                             obj_star=dataset.obj_star if dataset.labeled else None,
                             bisect_iters=ckpt.trainer.get("bisect_iters", BISECT_ITERS))
     if args.out:
-        write_report_csv(report, args.out)
+        write_csv(report.rows, REPORT_COLUMNS, args.out)
     for line in report.summary_lines(mva=args.mva):
         print(line)
     if args.out:

@@ -21,8 +21,6 @@ from .errors import DataError
 
 ISLANDING_TOL = 1e-6
 
-CASE_SCHEMA_KEYS = {"buses", "generators", "lines", "loads", "slack_bus", "penalty_Pi", "base_mva"}
-
 
 def _asarray(x, dtype=float) -> np.ndarray:
     a = np.asarray(x, dtype=dtype)

@@ -483,9 +483,10 @@ class PrimalPipeline:
         grads = with_slacks == "sums"
         flow_d, f0 = self.base_flows(state.gtilde, d)
         state.f0 = f0
-        state.eta0, state.sign0 = self.slack_and_sign(f0, grads)
+        state.eta0, state.sign0 = thermal_slacks(f0, self.flb, self.fub, grads)
         fg = flow_d[:, None, :] - state.gk @ self.phi_gen.T
-        state.eta_g, state.sign_g = self.slack_and_sign(fg, grads)
+        state.eta_g, state.sign_g = thermal_slacks(fg, self.flb, self.fub, grads,
+                                                   overwrite=True)
         state.eta_e_sum, state.eta_e, sign_sum, lodf_term = self.line_outage_slacks(
             f0, with_slacks)
         if grads:
@@ -595,11 +596,6 @@ class PrimalPipeline:
             eta, sign = thermal_slacks(post, self.flb[lines, None], self.fub[lines, None],
                                        signs, overwrite=True)
             yield where, eta, sign
-
-    def slack_and_sign(self, f: np.ndarray, signs: bool = True):
-        """Thermal slacks and sign patterns of flows f (..., n_line) against
-        the line limits (see ``thermal_slacks``)."""
-        return thermal_slacks(f, self.flb, self.fub, signs)
 
     def slack_total(self, state: PipelineState) -> np.ndarray:
         return state.eta0.sum(-1) + state.eta_g.sum((-2, -1)) + state.eta_e_sum

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import ContingencySet, GridCase, LinearFactors
-from .layers import PrimalPipeline
+from .layers import PrimalPipeline, thermal_slacks
 from .sampling import Instance, balanced_box_vertices
 from .storage import Dataset
 
@@ -91,7 +91,8 @@ def _cheap_lower_bound(pipe: PrimalPipeline, inst: Instance, g: np.ndarray) -> n
     bit; +inf, as F, where the survivors of some generator outage miss the
     load by BALANCE_TOL at response signal 0 or 1."""
     _, f0 = pipe.base_flows(g, np.broadcast_to(inst.d, (g.shape[0], inst.d.size)))
-    eta = pipe.slack_and_sign(f0, signs=False)[0].sum(-1) + pipe.line_outage_slacks(f0)[0]
+    eta = (thermal_slacks(f0, pipe.flb, pipe.fub, signs=False)[0].sum(-1)
+           + pipe.line_outage_slacks(f0)[0])
     bound = (inst.c * g).sum(-1) + pipe.Pi * eta
     d_total = inst.d.sum()
     capped = np.minimum(g + pipe.gamma * (inst.gub - pipe.glb), inst.gub)

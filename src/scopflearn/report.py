@@ -68,11 +68,12 @@ def evaluate_model(case: GridCase, factors: LinearFactors, cont: ContingencySet,
                    primal: MlpParams, instances: list[Instance],
                    obj_star: np.ndarray | None = None,
                    bisect_iters: int = BISECT_ITERS) -> EvalReport:
-    """Run the full primal pipeline per instance and aggregate the metrics.
+    """Run the full primal pipeline per instance, one row each, and reduce
+    every figure from the rows' columns.
 
     Each instance is evaluated individually so the reported latency is the
-    single-instance figure.  No instance is a DataError: every mean would be
-    NaN.
+    single-instance figure.  A NaN in a row is NaN in every mean and maximum
+    it enters.  No instance is a DataError: every mean would be NaN.
     """
     if not instances:
         raise DataError("no instance to evaluate: the dataset is empty")
@@ -82,23 +83,19 @@ def evaluate_model(case: GridCase, factors: LinearFactors, cont: ContingencySet,
             f"checkpoint network ({primal.sizes[0]} -> {primal.sizes[-1]}) does not "
             f"match case dimensions (expected {dim_x} -> {case.n_gen})")
     pipe = PrimalPipeline(case, factors, cont, t=bisect_iters)
-    report = EvalReport()
-    gaps = []
-    objs = []
-    times = []
+    rows = []
     for i, inst in enumerate(instances):
         t0 = time.perf_counter()
         z, _ = mlp_forward(primal, inst.x)
         state = pipe.forward(z, inst.d, inst.gub)
         dt_ms = (time.perf_counter() - t0) * 1e3
         obj = float(pipe.objective(state, inst.c)[0])
-        max_h = float(np.abs(state.h).max()) if state.h.size else 0.0
         row = {
             "index": i,
             "objective": obj,
             "oracle_objective": float("nan"),
             "gap_pct": float("nan"),
-            "max_balance_viol": max_h,
+            "max_balance_viol": float(np.abs(state.h).max()) if state.h.size else 0.0,
             "max_slack_base": float(state.eta0.max()),
             "max_slack_gen": float(state.eta_g.max()) if state.eta_g.size else 0.0,
             "max_slack_line": float(state.eta_e.max()) if state.eta_e.size else 0.0,
@@ -107,36 +104,24 @@ def evaluate_model(case: GridCase, factors: LinearFactors, cont: ContingencySet,
         if obj_star is not None and np.isfinite(obj_star[i]):
             row["oracle_objective"] = float(obj_star[i])
             row["gap_pct"] = 100.0 * (obj - obj_star[i]) / obj_star[i]
-            gaps.append(row["gap_pct"])
-        objs.append(obj)
-        times.append(dt_ms)
-        report.rows.append(row)
-        report.max_balance_viol = max(report.max_balance_viol, max_h)
-        report.max_slack_base = max(report.max_slack_base, row["max_slack_base"])
-        report.max_slack_gen = max(report.max_slack_gen, row["max_slack_gen"])
-        report.max_slack_line = max(report.max_slack_line, row["max_slack_line"])
-    report.mean_objective = float(np.mean(objs)) if objs else float("nan")
-    if times:
-        report.mean_inference_ms = float(np.mean(times))
-        report.p50_inference_ms, report.p99_inference_ms = map(float, np.percentile(times, [50, 99]))
-    if gaps:
-        report.mean_gap_pct = float(np.mean(gaps))
-        report.n_labeled = len(gaps)
-    return report
+        rows.append(row)
+    col = {name: np.array([row[name] for row in rows]) for name in REPORT_COLUMNS}
+    labeled = np.isfinite(col["oracle_objective"])
+    p50, p99 = np.percentile(col["inference_ms"], [50, 99])
+    # + 0.0 turns a -0.0 maximum (a zero flow limit's slack) into 0.0
+    maxima = {name: float(col[name].max()) + 0.0
+              for name in REPORT_COLUMNS if name.startswith("max_")}
+    return EvalReport(
+        rows=rows, mean_objective=float(col["objective"].mean()),
+        mean_gap_pct=float(col["gap_pct"][labeled].mean()) if labeled.any() else float("nan"),
+        mean_inference_ms=float(col["inference_ms"].mean()),
+        p50_inference_ms=float(p50), p99_inference_ms=float(p99),
+        n_labeled=int(labeled.sum()), **maxima)
 
 
-def write_report_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-        writer.writeheader()
-        for row in report.rows:
-            writer.writerow(row)
-
-
-def write_training_log_csv(log_rows: list, path) -> None:
-    columns = ["outer_k", "inner_l", "loss", "rho", "v_k", "lr", "wall_ms"]
+def write_csv(rows: list, columns: list, path) -> None:
+    """Write rows, dicts keyed by columns, as a CSV table under a header line."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in log_rows:
-            writer.writerow(row)
+        writer.writerows(rows)

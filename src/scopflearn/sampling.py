@@ -30,6 +30,8 @@ class PerturbationConfig:
             v = getattr(self, name)
             if not 0 <= v <= 1:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

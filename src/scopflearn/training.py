@@ -17,6 +17,7 @@ keep a fixed penalty and skip the dataset pass.
 from __future__ import annotations
 
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, fields
 
@@ -38,6 +39,8 @@ from .nn import (
 from .sampling import Instance
 
 METHODS = ("pdl", "penalty", "naive", "ld")
+# the keys of a TrainResult.log row, in the order of train_log.csv
+TRAIN_LOG_COLUMNS = ["outer_k", "inner_l", "loss", "rho", "v_k", "lr", "wall_ms"]
 LD_PENALTY = 1e3
 # rows per chunk of the dataset passes; line-outage slacks are reduced in
 # blocks of layers.SLACK_BLOCK elements, so this does not set training memory
@@ -61,13 +64,20 @@ class TrainerConfig:
 
     def __post_init__(self):
         # each field takes the kind of its default: an integer for the int
-        # fields, any real number for the float ones, never a bool
+        # fields, any finite real number for the float ones, never a bool
         for f in fields(self):
             value, integral = getattr(self, f.name), isinstance(f.default, int)
             if isinstance(value, bool) or not isinstance(
                     value, numbers.Integral if integral else numbers.Real):
                 kind = "an integer" if integral else "a real number"
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+            # refuses NaN and inf, and an integer past the float range, on
+            # which isfinite would raise
+            if not integral and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{f.name} must be finite in double precision, "
+                                  f"got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0 < self.tau < 1:
             raise ConfigError(f"tau must be in (0, 1), got {self.tau}")
         if not self.alpha > 1:

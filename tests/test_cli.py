@@ -14,6 +14,7 @@ from scopflearn.layers import PrimalPipeline
 from scopflearn.nn import AdamState, init_mlp, mlp_forward
 from scopflearn.storage import (Checkpoint, Dataset, load_checkpoint, read_dataset,
                                 save_checkpoint, write_dataset)
+from scopflearn.training import TrainerConfig
 
 from conftest import (BAD_CHECKPOINTS, BAD_DATASETS, M5_UNCOVERABLE_GUB, write_checkpoint,
                       write_labeled_dataset)
@@ -79,6 +80,20 @@ def test_gen_rejects_out_of_range_perturbation(tmp_path, capsys, flag):
     out = tmp_path / "d.bin"
     assert run(["gen", "--case", "triangle3", "--n", "2", "--out", str(out), *flag]) == 2
     assert "must be in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_negative_seed_is_refused_before_writing(tmp_path, capsys, tri_data, command):
+    # refused before numpy's default_rng sees it, and before train writes
+    # config.json
+    out = tmp_path / "out"
+    argv = (["gen", "--case", "triangle3", "--n", "2", "--out", str(out)]
+            if command == "gen" else
+            ["train", "--case", "triangle3", "--method", "penalty", "--dataset",
+             str(tri_data), "--out-dir", str(out), "-K", "1", "-L", "2", "--batch", "2"])
+    assert run([*argv, "--seed", "-1"]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -343,6 +358,7 @@ def test_train_eval_flow(tmp_path, capsys):
     assert cfg["method"] == "pdl" and cfg["K"] == 2 and cfg["L"] == 5
     log_lines = (out_dir / "train_log.csv").read_text().strip().splitlines()
     assert len(log_lines) == 1 + 2 * 2 * 5  # header + 2KL rows
+    assert log_lines[0] == "outer_k,inner_l,loss,rho,v_k,lr,wall_ms"
     assert (out_dir / "checkpoint_final.bin").exists()
     assert (out_dir / "checkpoint_k001.bin").exists()
     assert (out_dir / "checkpoint_k002.bin").exists()
@@ -358,6 +374,8 @@ def test_train_eval_flow(tmp_path, capsys):
     assert "max |balance residual|" in out
     rows = report.read_text().strip().splitlines()
     assert len(rows) == 1 + 16
+    assert rows[0] == ("index,objective,oracle_objective,gap_pct,max_balance_viol,"
+                       "max_slack_base,max_slack_gen,max_slack_line,inference_ms")
     # the bisection balances an outage wherever the served dispatch admits a
     # response signal in [0, 1]; elsewhere the residual is the shortfall at
     # the full response.  Each row is pinned to the exact reference
@@ -443,13 +461,13 @@ def tri_data(tmp_path_factory):
     return data
 
 
-# config files that once raised a TypeError, after writing config.json for
-# some, or trained on a bool
+# config files that once raised a TypeError or an OverflowError, after
+# writing config.json for some, or trained on a bool
 WRONG_TYPES = {
     "number": 5, "null": None, "lr_string": {"lr": "1e-3"}, "K_string": {"K": "abc"},
     "case_int": {"case": 7}, "K_float": {"K": 2.5}, "batch_float": {"batch": 2.5},
     "seed_float": {"seed": 1.5}, "bisect_iters_float": {"bisect_iters": 2.0},
-    "K_bool": {"K": True},
+    "K_bool": {"K": True}, "lr_past_float_range": {"lr": 10 ** 400},
 }
 
 
@@ -464,6 +482,22 @@ def test_train_config_refuses_a_value_of_the_wrong_type(tmp_path, capsys, monkey
     assert run(["train", "--config", "cfg.json"]) == 2
     assert "config error" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+REAL_FIELDS = [f.name for f in dataclasses.fields(TrainerConfig) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("name", REAL_FIELDS)
+def test_train_refuses_an_infinite_real_before_writing(tmp_path, capsys, tri_data, name):
+    # an infinite lr or rho0 diverges and an infinite obj_scale divides the
+    # cost away: each is refused before train writes anything
+    out_dir = tmp_path / "run"
+    assert run(["train", "--case", "triangle3", "--method", "penalty",
+                "--dataset", str(tri_data), "--out-dir", str(out_dir),
+                "-K", "1", "-L", "2", "--batch", "2",
+                "--" + name.replace("_", "-"), "inf"]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_train_rejects_bisection_count_before_writing(tmp_path):
@@ -542,3 +576,28 @@ def test_eval_latency_percentiles(tri_case, tri_factors, tri_cont):
     line = next(s for s in report.summary_lines() if s.startswith("mean inference time"))
     assert (f"{report.mean_inference_ms:.3f} ms (p50 {report.p50_inference_ms:.3f} ms, "
             f"p99 {report.p99_inference_ms:.3f} ms)") in line
+
+
+def test_eval_reports_a_nan_instance_in_every_figure_it_enters(m5_case, m5_factors, m5_cont):
+    from scopflearn.report import REPORT_COLUMNS, evaluate_model
+    from scopflearn.sampling import PerturbationConfig, sample_dataset
+    from scopflearn.training import build_networks
+
+    instances, _ = sample_dataset(m5_case, PerturbationConfig(seed=3), 3, cont=m5_cont)
+    instances[1] = dataclasses.replace(instances[1], x=np.full_like(instances[1].x, np.nan))
+    primal, _ = build_networks(m5_case, m5_cont, instances[0].x.size, seed=1, need_dual=False)
+    obj_star = np.array([1e3, 1e3, 1e3])
+    report = evaluate_model(m5_case, m5_factors, m5_cont, primal, instances, obj_star)
+    assert np.isnan([report.mean_objective, report.mean_gap_pct, report.max_balance_viol,
+                     report.max_slack_base, report.max_slack_gen,
+                     report.max_slack_line]).all()
+    assert report.n_labeled == 3
+    shown = [s for s in report.summary_lines() if s.startswith(("mean objective", "max "))]
+    assert len(shown) == 5 and all(": nan " in s for s in shown)
+    # the finite rows are those of the finite instances evaluated alone, their
+    # index and latency aside
+    alone = evaluate_model(m5_case, m5_factors, m5_cont, primal, instances[::2], obj_star[::2])
+    same = REPORT_COLUMNS[1:-1]
+    for row, ref in zip(report.rows[::2], alone.rows):
+        assert [row[k] for k in same] == [ref[k] for k in same]
+    assert np.isfinite([alone.mean_objective, alone.max_balance_viol]).all()

@@ -68,3 +68,29 @@ def test_every_private_definition_is_read():
     defined = set().union(*map(private_definitions, sources))
     assert len(defined) > 30
     assert sorted(defined - read) == []
+
+
+def module_constants(source: str) -> set[str]:
+    """The UPPER_CASE names a module assigns at its top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names |= {t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()}
+    return names
+
+
+def test_unread_module_constants_are_found():
+    source = ("A = 1\nB: int = 2\n_C = A\nlower = 3\nX, Y = 4, 5\n"
+              "class K:\n    D = 6\ndef f():\n    E = 7\n")
+    assert module_constants(source) == {"A", "B", "_C"}
+    assert module_constants(source) - names_read(source) == {"B", "_C"}
+
+
+def test_every_module_constant_is_read():
+    # a module-level constant no module of the package reads is dead code
+    sources = [p.read_text() for p in SOURCES]
+    read = set().union(*map(names_read, sources))
+    defined = set().union(*map(module_constants, sources))
+    assert len(defined) > 10
+    assert sorted(defined - read) == []
