@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .cases import BUILTIN_CASES, get_case
-from .errors import ConfigError, DataError, DivergenceError, ScopflearnError
-from .grid import GridCase, build_factors, load_case, screen_contingencies
+from .errors import ConfigError, DataError, DivergenceError
+from .grid import build_factors, load_case, screen_contingencies
 from .layers import BISECT_ITERS
 from .oracle import RESOLUTION, label_dataset
 from .report import REPORT_COLUMNS, evaluate_model, power_units, write_csv
@@ -39,14 +39,8 @@ from .training import METHODS, TRAIN_LOG_COLUMNS, TrainerConfig, train
 RUN_DEFAULTS = {"case": "micro5", "method": "pdl", "dataset": "", "out_dir": "run"}
 
 
-def resolve_case(spec: str) -> GridCase:
-    if spec in BUILTIN_CASES:
-        return get_case(spec)
-    return load_case(spec)
-
-
 def _grid_context(spec: str):
-    case = resolve_case(spec)
+    case = get_case(spec) if spec in BUILTIN_CASES else load_case(spec)
     factors = build_factors(case)
     cont = screen_contingencies(case, factors)
     return case, factors, cont
@@ -151,12 +145,10 @@ def cmd_train(args) -> int:
     effective = {**cfg, "config_hash": config_hash(cfg)}
     (out_dir / "config.json").write_text(json.dumps(effective, indent=2, sort_keys=True) + "\n")
 
-    dim_x = 2 * case.n_gen + case.n_load
-
     def save(name, primal, primal_adam, dual, dual_adam, state):
         # eval serves the model at the bisection count it was trained with
         trainer = {**state.as_dict(), "bisect_iters": trainer_config.bisect_iters}
-        ck = Checkpoint(method=method, case_name=case.name, dim_x=dim_x,
+        ck = Checkpoint(method=method, case_name=case.name, dim_x=primal.sizes[0],
                         n_gen=case.n_gen, primal=primal, primal_adam=primal_adam,
                         dual=dual, dual_adam=dual_adam, trainer=trainer)
         save_checkpoint(out_dir / name, ck)
@@ -322,9 +314,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return 4
-    except ScopflearnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -156,15 +156,14 @@ def repair_layer(gcheck: np.ndarray, d_total, glb: np.ndarray, gub: np.ndarray):
     gub = np.asarray(gub, float)
     d_total = np.asarray(d_total, float)
     s = gcheck.sum(-1)
-    total_ub = gub.sum(-1) * np.ones_like(s)
-    total_lb = glb.sum(-1) * np.ones_like(s)
     deficit = s < d_total
-    denom = np.where(deficit, total_ub - s, s - total_lb)
+    target = np.where(deficit[..., None], gub, glb)
+    total = target.sum(-1)
+    denom = np.where(deficit, total - s, s - total)
     degenerate = denom <= DEGENERATE_TOL
     denom_safe = np.where(degenerate, 1.0, denom)
     zeta = np.where(deficit, d_total - s, s - d_total) / denom_safe
     zeta = np.where(degenerate, 1.0, zeta)
-    target = np.where(deficit[..., None], gub, glb)
     gtilde = (1.0 - zeta)[..., None] * gcheck + zeta[..., None] * target
     ctx = RepairContext(gcheck=gcheck, d_total=d_total, s=s, zeta=zeta, deficit=deficit,
                         degenerate=degenerate, target=target, denom=denom_safe)
@@ -287,50 +286,34 @@ def _residual(n, g, droop, gub, survivors, d_total, out=None):
 def _cell_guess(g, droop, gub, d_total, kg, cells: int) -> np.ndarray:
     """A guess, (B, K) in [0, cells), of the cell of step 1/cells where
     each outage's residual turns positive: the root of its piecewise-linear
-    response, in any rounding.  Unit j gives g_j + n droop_j below its knee
-    and its capped value above; one sort of the knees per batch row gives
-    the response at every knee, and each outage takes out its own unit."""
+    response, in any rounding.  Unit j gives min(g_j + n droop_j, gub_j),
+    which bends at its knee; each outage's residual is read at every knee,
+    and the root lies on the segment below the least knee where it is
+    positive, or at the top where none is."""
     # a unit without droop is flat at min(g, gub), whatever its knee
     knee = np.subtract(gub, g)
     np.divide(knee, droop, out=knee, where=droop > 0.0)
-    np.maximum(knee, 0.0, out=knee)
-    np.minimum(knee, 1.0, out=knee)
-    top = np.multiply(knee, droop)
-    top += g
-    np.minimum(top, gub, out=top)
-    rows = np.arange(g.shape[0])[:, None]
-    order = knee.argsort(-1)
-    x, droop_s = knee[rows, order], droop[rows, order]
-    # at knee m: the capped values of the knees before it, the lines of the rest
-    droop_rest = droop_s[:, ::-1].cumsum(-1)[:, ::-1]
-    del droop_s
-    at = g[rows, order][:, ::-1].cumsum(-1)[:, ::-1]
-    at += x * droop_rest
-    top_s = top[rows, order]
-    at -= top_s
-    at += top_s.cumsum(-1, out=top_s)
-    del top_s, order
-    own_droop, own_knee = droop[:, kg], knee[:, kg]
-    v = np.multiply(x[:, None, :], own_droop[..., None])
-    v += g[:, kg, None]
-    np.minimum(v, top[:, kg, None], out=v)
-    del knee, top
-    np.subtract(at[:, None, :], v, out=v)
+    np.minimum(np.maximum(knee, 0.0, out=knee), 1.0, out=knee)
+    # at[b, j, m]: unit j's capped response at knee m; each outage takes
+    # out its own unit
+    at = np.multiply(droop[:, :, None], knee[:, None, :])
+    at += g[:, :, None]
+    np.minimum(at, gub[:, :, None], out=at)
+    v = at[:, kg, :]
+    np.subtract(at.sum(1)[:, None, :], v, out=v)
     v -= d_total[:, None, None]
-    # the first knee past the root, and the slope of the segment below it
-    rising = np.greater(v, 0.0)
-    m = rising.argmax(-1)
-    right = x[rows, m]
-    slope = droop_rest[rows, m]
-    slope -= own_droop * (own_knee >= right)
-    rise = v.reshape(-1, x.shape[-1])[np.arange(m.size), m.ravel()].reshape(m.shape)
-    del v
-    np.divide(rise, slope, out=rise, where=slope > 0.0)
-    rise[slope <= 0.0] = 0.0
-    right -= rise
-    right[~rising[..., -1]] = 1.0
+    del at
+    x = np.where(np.greater(v, 0.0), knee[:, None, :], np.inf)
+    least = (np.arange(x.shape[0])[:, None], np.arange(kg.size), x.argmin(-1))
+    right, rise = x[least], v[least]
+    del x, v
+    # the segment's slope: the droop of the units whose knee lies at or
+    # above its right end, less the outage's own
+    slope = np.where(knee[:, None, :] >= right[..., None], droop[:, None, :], 0.0).sum(-1)
+    slope -= droop[:, kg] * (knee[:, kg] >= right)
+    right -= np.divide(rise, slope, out=np.zeros_like(rise), where=slope > 0.0)
     right *= cells
-    # a NaN guesses the top cell
+    # no positive knee (+inf) or a NaN guesses the top cell
     return np.fmax(np.fmin(right, cells - 1.0, out=right), 0.0, out=right).astype(np.int64)
 
 

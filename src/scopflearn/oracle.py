@@ -14,6 +14,7 @@ to +inf, matching the problem the learned models are measured against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ RESOLUTION = 1e-3   # lattice spacing on the dispatch slice
 ORACLE_BISECT_ITERS = 40
 BALANCE_TOL = 1e-6
 CHUNK = 65_536
+# the most lattice points a solve enumerates: the largest of 300 sampled
+# micro5 instances has about 2.6 million at RESOLUTION, and at 2^24 the
+# meshgrid and stacked head of three generators already take 0.5 GB
+MAX_LATTICE = 1 << 24
 POLISH_MIN_STEP = 1e-7
 
 
@@ -61,21 +66,28 @@ def oracle_objective(g, inst: Instance, pipe: PrimalPipeline) -> np.ndarray:
 
 def _slice_lattice(glb, gub, d_total, resolution) -> np.ndarray:
     """Lattice over the first n-1 coordinates at the given spacing; the last
-    coordinate balances the sum and is filtered against its box."""
+    coordinate balances the sum and is filtered against its box.  A lattice
+    of more than MAX_LATTICE points is refused before any of it is built."""
     n = glb.size
     if n == 1:
         return np.array([[d_total]]) if glb[0] - 1e-9 <= d_total <= gub[0] + 1e-9 \
             else np.zeros((0, 1))
-    axes = []
+    spans = []
     for i in range(n - 1):
         lo = max(glb[i], d_total - (gub.sum() - gub[i]))
         hi = min(gub[i], d_total - (glb.sum() - glb[i]))
         if hi < lo:
             return np.zeros((0, n))
-        pts = lo + np.arange(int(np.floor((hi - lo) / resolution)) + 1) * resolution
-        if pts[-1] < hi - 1e-12:
-            pts = np.append(pts, hi)
-        axes.append(pts)
+        # a float, so a spacing too fine to count overflows to inf
+        steps = np.floor((hi - lo) / resolution) + 1
+        # an axis ends at hi where its last step falls short of it
+        spans.append((lo, hi, steps, bool(lo + (steps - 1) * resolution < hi - 1e-12)))
+    size = math.prod(steps + short for _, _, steps, short in spans)
+    if not size <= MAX_LATTICE:
+        raise ConfigError(f"resolution {resolution:g} asks for a lattice of {size:.0f} points, "
+                          f"more than the {MAX_LATTICE} a reference solve enumerates")
+    axes = [np.append(lo + np.arange(int(steps)) * resolution, [hi] if short else [])
+            for lo, hi, steps, short in spans]
     mesh = np.meshgrid(*axes, indexing="ij")
     head = np.stack([m.ravel() for m in mesh], axis=1)
     last = d_total - head.sum(-1)

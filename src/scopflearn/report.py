@@ -77,7 +77,7 @@ def evaluate_model(case: GridCase, factors: LinearFactors, cont: ContingencySet,
     """
     if not instances:
         raise DataError("no instance to evaluate: the dataset is empty")
-    dim_x = 2 * case.n_gen + case.n_load
+    dim_x = instances[0].x.size
     if primal.sizes[0] != dim_x or primal.sizes[-1] != case.n_gen:
         raise DataError(
             f"checkpoint network ({primal.sizes[0]} -> {primal.sizes[-1]}) does not "

@@ -173,6 +173,19 @@ def test_oracle_refuses_a_resolution_not_positive_and_finite(tmp_path, capsys, r
     assert not labeled.exists()
 
 
+def test_oracle_refuses_a_lattice_over_its_budget(tmp_path, capsys, monkeypatch):
+    from scopflearn import oracle
+
+    data = tmp_path / "d.bin"
+    assert run(["gen", "--case", "micro5", "--n", "1", "--seed", "31", "--out", str(data)]) == 0
+    monkeypatch.setattr(oracle, "MAX_LATTICE", 50_000)
+    labeled = tmp_path / "l.bin"
+    assert run(["oracle", "--case", "micro5", "--dataset", str(data),
+                "--out", str(labeled), "--resolution", "4e-3"]) == 2
+    assert "lattice of 102400 points" in capsys.readouterr().err
+    assert not labeled.exists()
+
+
 def test_oracle_warns_and_naive_training_skips_an_uncoverable_instance(tmp_path, capsys,
                                                                       m5_case):
     data = tmp_path / "d.bin"

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scopflearn import layers
+from scopflearn import layers, training
 from scopflearn.errors import ConfigError, DataError
 from scopflearn.grid import ContingencySet, GridCase, build_factors, screen_contingencies
 from scopflearn.layers import (
@@ -16,6 +16,7 @@ from scopflearn.layers import (
     repair_layer_vjp,
     sigmoid,
 )
+from scopflearn.nn import mlp_forward
 from scopflearn.sampling import PerturbationConfig, sample_dataset
 
 from conftest import make_ring_mesh
@@ -332,6 +333,42 @@ def test_bisection_matches_reference_from_any_guess(t, monkeypatch):
     for box in _random_boxes(rng, inject=True):
         positions += _assert_bisection_matches_reference(*box, t)[1].size
     assert sum(loops) > positions / 2
+
+
+def test_cell_guess_lands_in_the_switching_cell(m5_case, m5_factors, m5_cont, monkeypatch):
+    """The guess is the cell of the exact piecewise-linear root, so the loop
+    itself does not run on served dispatches; a guess one cell off would
+    pass every bit-identity test and only cost speed."""
+    for t in (1, 2, 25, 40):
+        cells, checked = 2 ** (t + 1), 0
+        for g, d_total, kg, gamma, ghat, gub in _random_boxes(np.random.default_rng(t)):
+            guess = layers._cell_guess(g, gamma * ghat, gub, d_total, kg, cells)
+            for (b, j), cell in np.ndenumerate(guess):
+                root = exact_response_signal(g[b], kg[j], gamma, ghat[b], gub[b], d_total[b])
+                e = apr_dispatch(g[b], root, kg[j], gamma, ghat[b], gub[b]).sum() - d_total[b]
+                # a root within rounding of a grid point, with e zero there,
+                # may switch in either cell next to it
+                if abs(root * cells - round(root * cells)) > 1e-14 * cells or abs(e) > 1e-12:
+                    assert cell == min(int(root * cells), cells - 1), (t, root)
+                    checked += 1
+        assert checked > 500
+    # untrained networks' dispatches of sampled instances, batched and single
+    mesh = make_ring_mesh(grid_seed=2, n_bus=30, n_chords=10, n_gen=12, n_load=15)
+    mesh_factors = build_factors(mesh)
+    loops, positions = _loop_spy(monkeypatch), 0
+    for case, factors, cont in ((m5_case, m5_factors, m5_cont),
+                                (mesh, mesh_factors, screen_contingencies(mesh, mesh_factors))):
+        pipe = PrimalPipeline(case, factors, cont, t=25)
+        instances, _ = sample_dataset(case, PerturbationConfig(seed=5), 64, cont=cont)
+        x, d, gub = (np.stack([getattr(inst, name) for inst in instances])
+                     for name in ("x", "d", "gub"))
+        for seed in range(4):
+            primal, _ = training.build_networks(case, cont, x.shape[1], seed, False)
+            z, _ = mlp_forward(primal, x)
+            positions += pipe.forward(z, d, gub, with_slacks=False).nk.size
+            for i in range(8):
+                pipe.forward(z[i], d[i], gub[i], with_slacks=False)
+    assert positions == 4 * 64 * (3 + 12) and not loops
 
 
 @pytest.mark.parametrize("t", [1, 40])
@@ -757,7 +794,6 @@ def test_pair_screen_is_exact_at_the_limits(monkeypatch, n_rows):
 
 @pytest.mark.parametrize("n_rows", [8, 32, 128])
 def test_pair_screen_keeps_a_nan_row(monkeypatch, n_rows):
-    from scopflearn import training
     from scopflearn.errors import DivergenceError
 
     case = make_ring_mesh(grid_seed=3, n_bus=40, n_chords=15, n_gen=5, n_load=20)

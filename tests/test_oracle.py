@@ -229,6 +229,23 @@ def test_lattice_blocks_cover_every_row(monkeypatch):
         assert np.array_equal(np.concatenate(blocks), g)
 
 
+def test_oracle_refuses_a_lattice_over_its_budget(m5, monkeypatch):
+    # the seed-31 instance's 4e-3 lattice keeps 51,042 balanced rows of
+    # 102,400 grid points; a budget below it is refused before any is built
+    import scopflearn.oracle as oracle
+
+    case, factors, cont = m5
+    inst = sample_dataset(case, PerturbationConfig(seed=31), 1, cont=cont)[0][0]
+    monkeypatch.setattr(oracle, "MAX_LATTICE", 50_000)
+    with pytest.raises(ConfigError, match="lattice of 102400 points"):
+        oracle_solve(inst, case, factors, cont, resolution=4e-3)
+    assert oracle_solve(inst, case, factors, cont, resolution=2e-2).feasible
+    # a spacing so fine that its step count overflows is refused too
+    with pytest.raises(ConfigError, match="lattice of inf points"), \
+            np.errstate(over="ignore"):
+        oracle_solve(inst, case, factors, cont, resolution=5e-324)
+
+
 @pytest.mark.parametrize("resolution", [0.0, -1e-3, np.nan, np.inf])
 def test_oracle_refuses_a_resolution_not_positive_and_finite(tri, resolution):
     case, factors, cont = tri
